@@ -168,11 +168,13 @@ def _coerce(key, raw, typ):
     return raw
 
 
-def parse_arch(text, name_hint=""):
-    """Parse the flat key=value format into a validated ArchSpec."""
-    scalars = {}
-    stage_fields = {}
-    tm_after = None
+def read_kv_lines(text):
+    """``[(key, raw value)]`` from the ``key = value`` lines of ``text``.
+
+    ``#`` starts a comment and blank lines are skipped; a line without
+    ``=`` raises SpecError naming its line number.
+    """
+    pairs = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -180,6 +182,16 @@ def parse_arch(text, name_hint=""):
         if "=" not in line:
             raise SpecError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
+        pairs.append((key, raw))
+    return pairs
+
+
+def parse_arch(text, name_hint=""):
+    """Parse the flat key=value format into a validated ArchSpec."""
+    scalars = {}
+    stage_fields = {}
+    tm_after = None
+    for key, raw in read_kv_lines(text):
         if key == "tm_after":
             raw = raw.strip()
             tm_after = tuple(int(s) for s in raw.split(",") if s.strip()) if raw else ()

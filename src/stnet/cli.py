@@ -18,20 +18,6 @@ from . import arch, checkpoint, complexity, data, gradcheck, model, training
 GRAD_TOL = 1e-4
 
 
-def _parse_kv_file(path):
-    values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (s.strip() for s in line.split("=", 1))
-            values[key] = raw
-    return values
-
-
 def _coerce_config(cls, values, path):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -55,7 +41,13 @@ def _coerce_config(cls, values, path):
 def _load_config(cls, path):
     if path is None:
         return {}
-    return _coerce_config(cls, _parse_kv_file(path), path)
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    try:
+        values = dict(arch.read_kv_lines(text))
+    except arch.SpecError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return _coerce_config(cls, values, path)
 
 
 def _resolve_seed(flag_seed, file_kwargs):

@@ -60,16 +60,6 @@ def analyze(spec):
         total_mults=sum(r.mults for r in rows))
 
 
-def count_params(spec):
-    """Report with the parameter column filled (mults come for free)."""
-    return analyze(spec)
-
-
-def count_flops(spec):
-    """Report with the multiplication column filled for one inference pass."""
-    return analyze(spec)
-
-
 def _fmt_count(v):
     return f"{v:,}"
 

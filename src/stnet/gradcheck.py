@@ -76,14 +76,12 @@ def _t_away_from_zero(rng, shape, margin=0.1):
     return Tensor(data, requires_grad=True, dtype=np.float64)
 
 
-def _t_distinct_over_time(rng, shape):
-    # Well-separated levels shuffled along the time axis: keeps the
-    # time-max unique so the max-pool subgradient is exact under
-    # perturbation.
-    t_axis = len(shape) - 2
-    base = np.arange(shape[t_axis], dtype=np.float64) * 0.5
-    bshape = tuple(shape[t_axis] if i == t_axis else 1 for i in range(len(shape)))
-    data = rng.permuted(np.broadcast_to(base.reshape(bshape), shape).copy(), axis=t_axis)
+def _distinct_levels(rng, shape, axis):
+    # Well-separated levels shuffled along ``axis``: keeps every max along
+    # it unique, so a max-pool subgradient is exact under perturbation.
+    base = np.arange(shape[axis], dtype=np.float64) * 0.5
+    bshape = tuple(shape[axis] if i == axis else 1 for i in range(len(shape)))
+    data = rng.permuted(np.broadcast_to(base.reshape(bshape), shape).copy(), axis=axis)
     return Tensor(data + rng.standard_normal(shape) * 0.01,
                   requires_grad=True, dtype=np.float64)
 
@@ -98,32 +96,23 @@ def _check_conv2d(rng):
     return grad_check(lambda *a: ops.conv2d(*a, stride=s, padding=p), [x, wt, bi])
 
 
-def _check_conv3d_t311(rng):
-    b, c, o = rng.integers(1, 3), rng.integers(1, 4), rng.integers(1, 4)
-    t, h, w = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    x, wt, bi = _t(rng, (b, c, t, h, w)), _t(rng, (o, c, 3, 1, 1)), _t(rng, (o,))
-    return grad_check(ops.conv3d_t311, [x, wt, bi])
+def _check_temporal_conv3(rng):
+    # One input of random rank ([T,C], [B,T,C] or [B,T,C,*S]) through both
+    # the dense and the depthwise weight.
+    t, c, o = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    rank = int(rng.integers(2, 6))
+    shape = (t, c) if rank == 2 else (int(rng.integers(1, 3)), t, c) + tuple(
+        int(rng.integers(1, 4)) for _ in range(rank - 3))
+    x = _t(rng, shape)
+    dense = grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3)), _t(rng, (o,))])
+    depthwise = grad_check(ops.temporal_conv3, [x, _t(rng, (c, 3)), _t(rng, (c,))])
+    return max(dense, depthwise)
 
 
-def _check_conv1d_channelwise(rng):
-    t, c = int(rng.integers(1, 7)), int(rng.integers(1, 5))
-    shape = (t, c) if rng.integers(2) else (int(rng.integers(1, 3)), t, c)
-    x, wt, bi = _t(rng, shape), _t(rng, (c, 3)), _t(rng, (c,))
-    return grad_check(ops.conv1d_channelwise, [x, wt, bi])
-
-
-def _check_conv1d_temporalwise(rng):
-    t, ci, co = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    shape = (t, ci) if rng.integers(2) else (int(rng.integers(1, 3)), t, ci)
-    x, wt, bi = _t(rng, shape), _t(rng, (co, ci)), _t(rng, (co,))
-    return grad_check(ops.conv1d_temporalwise, [x, wt, bi])
-
-
-def _check_conv1d_full(rng):
-    t, ci, co = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    shape = (t, ci) if rng.integers(2) else (int(rng.integers(1, 3)), t, ci)
-    x, wt, bi = _t(rng, shape), _t(rng, (co, ci, 3)), _t(rng, (co,))
-    return grad_check(ops.conv1d_full, [x, wt, bi])
+def _check_linear(rng):
+    ci, co = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    lead = tuple(int(rng.integers(1, 4)) for _ in range(int(rng.integers(0, 3))))
+    return grad_check(ops.linear, [_t(rng, lead + (ci,)), _t(rng, (co, ci)), _t(rng, (co,))])
 
 
 def _bn_inputs(rng):
@@ -169,12 +158,17 @@ def _check_global_avg_pool2d(rng):
 def _check_temporal_max_pool(rng):
     t, c = int(rng.integers(1, 6)), int(rng.integers(1, 4))
     shape = (t, c) if rng.integers(2) else (int(rng.integers(1, 3)), t, c)
-    return grad_check(ops.temporal_max_pool, [_t_distinct_over_time(rng, shape)])
+    return grad_check(ops.temporal_max_pool, [_distinct_levels(rng, shape, len(shape) - 2)])
 
 
-def _check_fc(rng):
-    b, ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
-    return grad_check(ops.fc, [_t(rng, (b, ci)), _t(rng, (co, ci)), _t(rng, (co,))])
+def _check_max_pool2d(rng):
+    b, c = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    k, s = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    p = int(rng.integers(0, k // 2 + 1))
+    h, w = int(rng.integers(max(1, k - 2 * p), 6)), int(rng.integers(max(1, k - 2 * p), 6))
+    # Levels are distinct over each whole map, so no window max ties.
+    x = _distinct_levels(rng, (b, c, h * w), 2)
+    return grad_check(lambda x_: ops.max_pool2d(x_.reshape((b, c, h, w)), k, s, p), [x])
 
 
 def _check_softmax(rng):
@@ -212,16 +206,14 @@ def _check_transpose(rng):
 
 OP_CHECKS = {
     "conv2d": _check_conv2d,
-    "conv3d_t311": _check_conv3d_t311,
-    "conv1d_channelwise": _check_conv1d_channelwise,
-    "conv1d_temporalwise": _check_conv1d_temporalwise,
-    "conv1d_full": _check_conv1d_full,
+    "temporal_conv3": _check_temporal_conv3,
+    "linear": _check_linear,
     "batch_norm_train": _check_batch_norm_train,
     "batch_norm_infer": _check_batch_norm_infer,
     "relu": _check_relu,
     "global_avg_pool2d": _check_global_avg_pool2d,
     "temporal_max_pool": _check_temporal_max_pool,
-    "fc": _check_fc,
+    "max_pool2d": _check_max_pool2d,
     "softmax": _check_softmax,
     "mean_over": _check_mean_over,
     "softmax_cross_entropy": _check_softmax_cross_entropy,

@@ -304,10 +304,12 @@ def _run_stage(p, i, st, x, training):
 
 def _run_tm(p, i, x, b, t, training):
     bt, c, h, w = x.shape
-    x5 = x.reshape((b, t, c, h, w)).transpose((0, 2, 1, 3, 4))
-    y = ops.conv3d_t311(x5, p[f"tm{i}/conv/w"], p[f"tm{i}/conv/b"])
-    y = ops.relu(_run_bn(p, f"tm{i}/bn", y, 1, training))
-    return y.transpose((0, 2, 1, 3, 4)).reshape((bt, c, h, w))
+    # The (3,1,1) kernel is a dense 3-tap conv over the snippet axis; H, W ride along.
+    weight = p[f"tm{i}/conv/w"]
+    y = ops.temporal_conv3(x.reshape((b, t, c, h, w)), weight.reshape(weight.shape[:3]),
+                           p[f"tm{i}/conv/b"])
+    y = ops.relu(_run_bn(p, f"tm{i}/bn", y, 2, training))
+    return y.reshape((bt, c, h, w))
 
 
 def txb_branches(model, seq):
@@ -319,13 +321,11 @@ def txb_branches(model, seq):
     p = model.params
     training = model.mode == "train"
     v = _run_bn(p, "txb/bn", seq, seq.ndim - 1, training)
-    short = ops.conv1d_temporalwise(v, p["txb/short/tw/w"], p["txb/short/tw/b"])
-    long = ops.conv1d_channelwise(v, p["txb/long/cw1/w"], p["txb/long/cw1/b"])
-    long = ops.relu(ops.conv1d_temporalwise(long, p["txb/long/tw1/w"],
-                                            p["txb/long/tw1/b"]))
-    long = ops.conv1d_channelwise(long, p["txb/long/cw2/w"], p["txb/long/cw2/b"])
-    long = ops.relu(ops.conv1d_temporalwise(long, p["txb/long/tw2/w"],
-                                            p["txb/long/tw2/b"]))
+    short = ops.linear(v, p["txb/short/tw/w"], p["txb/short/tw/b"])
+    long = ops.temporal_conv3(v, p["txb/long/cw1/w"], p["txb/long/cw1/b"])
+    long = ops.relu(ops.linear(long, p["txb/long/tw1/w"], p["txb/long/tw1/b"]))
+    long = ops.temporal_conv3(long, p["txb/long/cw2/w"], p["txb/long/cw2/b"])
+    long = ops.relu(ops.linear(long, p["txb/long/tw2/w"], p["txb/long/tw2/b"]))
     return long, short
 
 
@@ -334,23 +334,21 @@ def _run_txb_head(model, seq):
     fused = ops.relu(long + short)
     pooled = ops.temporal_max_pool(fused)
     p = model.params
-    return ops.fc(pooled, p["head/fc/w"], p["head/fc/b"])
+    return ops.linear(pooled, p["head/fc/w"], p["head/fc/b"])
 
 
 def _run_avg_head(model, seq):
-    b, t, c = seq.shape
     p = model.params
-    logits = ops.fc(seq.reshape((b * t, c)), p["head/fc/w"], p["head/fc/b"])
-    scores = ops.softmax(logits.reshape((b, t, model.spec.num_classes)), axis=2)
+    scores = ops.softmax(ops.linear(seq, p["head/fc/w"], p["head/fc/b"]), axis=2)
     return ops.mean_over(scores, axis=1)
 
 
 def _run_ordinary_head(model, seq):
     p = model.params
-    h = ops.relu(ops.conv1d_full(seq, p["head/conv1/w"], p["head/conv1/b"]))
-    h = ops.relu(ops.conv1d_full(h, p["head/conv2/w"], p["head/conv2/b"]))
+    h = ops.relu(ops.temporal_conv3(seq, p["head/conv1/w"], p["head/conv1/b"]))
+    h = ops.relu(ops.temporal_conv3(h, p["head/conv2/w"], p["head/conv2/b"]))
     pooled = ops.temporal_max_pool(h)
-    return ops.fc(pooled, p["head/fc/w"], p["head/fc/b"])
+    return ops.linear(pooled, p["head/fc/w"], p["head/fc/b"])
 
 
 def forward(model, batch):

@@ -21,7 +21,7 @@ def _require(cond, msg):
 
 
 # ---------------------------------------------------------------------------
-# 2D / 3D convolution
+# Convolutions and affine maps
 # ---------------------------------------------------------------------------
 
 def conv2d(x, weight, bias, stride=1, padding=0):
@@ -80,186 +80,93 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     return out
 
 
-def conv3d_t311(x, weight, bias, temporal_padding=1):
-    """Temporal 3D convolution with kernel (3,1,1): [B,C,T,H,W] -> [B,O,T,H,W].
+def temporal_conv3(x, weight, bias):
+    """3-tap convolution over time with zero padding 1, so T is preserved.
 
-    Spatial kernel is fixed to 1x1; temporal stride 1 with zero padding
-    (default 1, which preserves T).
+    ``x`` is [T,C], [B,T,C] or [B,T,C,*S]: time is the axis before the
+    channels, and trailing spatial extents S ride along untouched. A
+    [C,3] weight is depthwise (one kernel per channel, the channel-wise
+    conv of a temporal Xception block); an [O,C,3] weight is dense:
+
+        y[b,t,o,s] = sum_k sum_c x[b,t+k-1,c,s] * weight[o,c,k] + bias[o]
+
+    with rows outside [0, T) contributing zero.
     """
-    _require(x.ndim == 5, f"conv3d_t311 input must be 5D, got {x.shape}")
-    _require(weight.ndim == 5, f"conv3d_t311 weight must be 5D, got {weight.shape}")
-    b_, c, t, h, w = x.shape
-    o, ci, kt, kh, kw = weight.shape
-    _require(t >= 1, "conv3d_t311 requires T >= 1")
-    _require(kh == 1 and kw == 1,
-             f"conv3d_t311 supports only 1x1 spatial kernels, got {kh}x{kw}")
-    _require(kt == 3, f"conv3d_t311 temporal kernel must be 3, got {kt}")
-    _require(ci == c, f"conv3d_t311 channel mismatch: input has {c}, weight expects {ci}")
-    _require(bias.shape == (o,), f"conv3d_t311 bias must have shape ({o},)")
-    tp = temporal_padding
-    to = t + 2 * tp - 2
-    _require(to >= 1, "conv3d_t311 output would be empty")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (tp, tp), (0, 0), (0, 0)))
-    y = np.zeros((b_, o, to, h, w), dtype=np.result_type(x.data, weight.data))
-    for k in range(3):
-        y += np.einsum("bcthw,oc->bothw", xp[:, :, k:k + to],
-                       weight.data[:, :, k, 0, 0], optimize=True)
-    y += bias.data[None, :, None, None, None]
-
-    out = make_node(y, (x, weight, bias), "conv3d_t311")
-    if out._prev:
-        def backward(g):
-            if x.requires_grad or weight.requires_grad:
-                gxp = np.zeros_like(xp) if x.requires_grad else None
-                for k in range(3):
-                    xs = xp[:, :, k:k + to]
-                    if weight.requires_grad:
-                        gw = np.einsum("bothw,bcthw->oc", g, xs, optimize=True)
-                        if weight.grad is None:
-                            weight.grad = np.zeros_like(weight.data)
-                        weight.grad[:, :, k, 0, 0] += gw
-                    if x.requires_grad:
-                        gxp[:, :, k:k + to] += np.einsum(
-                            "bothw,oc->bcthw", g, weight.data[:, :, k, 0, 0],
-                            optimize=True)
-                if x.requires_grad:
-                    x.accumulate_grad(gxp[:, :, tp:tp + t] if tp else gxp)
-            if bias.requires_grad:
-                bias.accumulate_grad(g.sum(axis=(0, 2, 3, 4)))
-        out._backward = backward
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Separable 1D convolutions over feature sequences ([T,C] or [B,T,C])
-# ---------------------------------------------------------------------------
-
-def _as_seq(x, op):
-    _require(x.ndim in (2, 3), f"{op} expects [T,C] or [B,T,C], got {x.shape}")
-    return x.ndim == 2
-
-
-def conv1d_channelwise(x, weight, bias, padding=1):
-    """Depthwise temporal convolution: one length-3 kernel per channel.
-
-    y[i,j] = sum_k x[i+k-1, j] * weight[j, k] + bias[j], with rows outside
-    [0, T) contributing zero.
-    """
-    squeeze = _as_seq(x, "conv1d_channelwise")
-    c = x.shape[-1]
-    _require(weight.shape == (c, 3),
-             f"conv1d_channelwise weight must have shape ({c}, 3), got {weight.shape}")
-    _require(bias.shape == (c,), f"conv1d_channelwise bias must have shape ({c},)")
+    _require(x.ndim >= 2, f"temporal_conv3 expects [T,C] or [B,T,C,*S], got {x.shape}")
+    squeeze = x.ndim == 2
     xd = x.data[None] if squeeze else x.data
-    t = xd.shape[1]
-    to = t + 2 * padding - 2
-    _require(to >= 1, "conv1d_channelwise output would be empty")
+    t, c = xd.shape[1], xd.shape[2]
+    if weight.ndim == 2:
+        _require(weight.shape == (c, 3),
+                 f"temporal_conv3 depthwise weight must have shape ({c}, 3), "
+                 f"got {weight.shape}")
+        wsub, ysub = "c", "btc..."
+    else:
+        _require(weight.ndim == 3 and weight.shape[1:] == (c, 3),
+                 f"temporal_conv3 weight must have shape ({c}, 3) or (C_out, {c}, 3), "
+                 f"got {weight.shape}")
+        wsub, ysub = "oc", "bto..."
+    co = weight.shape[0]
+    _require(bias.shape == (co,), f"temporal_conv3 bias must have shape ({co},)")
+    _require(t >= 1, "temporal_conv3 requires T >= 1")
 
-    xp = np.pad(xd, ((0, 0), (padding, padding), (0, 0)))
-    y = np.zeros((xd.shape[0], to, c), dtype=np.result_type(xd, weight.data))
+    pad = [(0, 0)] * xd.ndim
+    pad[1] = (1, 1)
+    xp = np.pad(xd, pad)
+    # One contraction per tap; each tap is a shifted window of the padded input.
+    y = np.zeros((xd.shape[0], t, co) + xd.shape[3:], dtype=np.result_type(xd, weight.data))
     for k in range(3):
-        y += xp[:, k:k + to] * weight.data[:, k][None, None, :]
-    y += bias.data[None, None, :]
+        y += np.einsum(f"btc...,{wsub}->{ysub}", xp[:, k:k + t], weight.data[..., k],
+                       optimize=True)
+    y += bias.data.reshape((co,) + (1,) * (xd.ndim - 3))
     if squeeze:
         y = y[0]
 
-    out = make_node(y, (x, weight, bias), "conv1d_channelwise")
+    out = make_node(y, (x, weight, bias), "temporal_conv3")
     if out._prev:
         def backward(g):
             gb = g[None] if squeeze else g
-            if x.requires_grad or weight.requires_grad:
-                gxp = np.zeros_like(xp) if x.requires_grad else None
+            if weight.requires_grad:
+                weight.accumulate_grad(np.stack(
+                    [np.einsum(f"{ysub},btc...->{wsub}", gb, xp[:, k:k + t], optimize=True)
+                     for k in range(3)], axis=-1))
+            if x.requires_grad:
+                gxp = np.zeros_like(xp)
                 for k in range(3):
-                    if weight.requires_grad:
-                        gw = np.einsum("btc,btc->c", gb, xp[:, k:k + to], optimize=True)
-                        if weight.grad is None:
-                            weight.grad = np.zeros_like(weight.data)
-                        weight.grad[:, k] += gw
-                    if x.requires_grad:
-                        gxp[:, k:k + to] += gb * weight.data[:, k][None, None, :]
-                if x.requires_grad:
-                    gx = gxp[:, padding:padding + t] if padding else gxp
-                    x.accumulate_grad(gx[0] if squeeze else gx)
+                    gxp[:, k:k + t] += np.einsum(f"{ysub},{wsub}->btc...", gb,
+                                                 weight.data[..., k], optimize=True)
+                gx = gxp[:, 1:t + 1]
+                x.accumulate_grad(gx[0] if squeeze else gx)
             if bias.requires_grad:
-                bias.accumulate_grad(gb.sum(axis=(0, 1)))
+                bias.accumulate_grad(gb.sum(axis=(0, 1) + tuple(range(3, gb.ndim))))
         out._backward = backward
     return out
 
 
-def conv1d_temporalwise(x, weight, bias):
-    """Pointwise (kernel size 1) convolution mixing channels per timestep.
+def linear(x, weight, bias):
+    """Affine map over the last axis: [..., C_in] -> [..., C_out].
 
-    Equivalent to x @ weight.T + bias applied independently at every
-    timestep, so the temporal receptive field is 1.
+    y = x @ weight.T + bias, applied independently at every leading
+    index (per timestep for a [B,T,C] sequence, so the temporal receptive
+    field is 1).
     """
-    _as_seq(x, "conv1d_temporalwise")
+    _require(x.ndim >= 1, "linear input must have at least one axis")
     ci = x.shape[-1]
     _require(weight.ndim == 2 and weight.shape[1] == ci,
-             f"conv1d_temporalwise weight must have shape (C_out, {ci}), got {weight.shape}")
+             f"linear weight must have shape (C_out, {ci}), got {weight.shape}")
     co = weight.shape[0]
-    _require(bias.shape == (co,), f"conv1d_temporalwise bias must have shape ({co},)")
+    _require(bias.shape == (co,), f"linear bias must have shape ({co},)")
 
-    y = x.data @ weight.data.T + bias.data
-    out = make_node(y, (x, weight, bias), "conv1d_temporalwise")
+    out = make_node(x.data @ weight.data.T + bias.data, (x, weight, bias), "linear")
     if out._prev:
         def backward(g):
             if x.requires_grad:
                 x.accumulate_grad(g @ weight.data)
+            g2 = g.reshape(-1, co)
             if weight.requires_grad:
-                g2 = g.reshape(-1, co)
-                x2 = x.data.reshape(-1, ci)
-                weight.accumulate_grad(g2.T @ x2)
+                weight.accumulate_grad(g2.T @ x.data.reshape(-1, ci))
             if bias.requires_grad:
-                bias.accumulate_grad(g.reshape(-1, co).sum(axis=0))
-        out._backward = backward
-    return out
-
-
-def conv1d_full(x, weight, bias, padding=1):
-    """Ordinary (non-separable) temporal convolution with kernel size 3.
-
-    weight has shape [C_out, C_in, 3]; mixes all channels within a
-    3-step temporal window.
-    """
-    squeeze = _as_seq(x, "conv1d_full")
-    ci = x.shape[-1]
-    _require(weight.ndim == 3 and weight.shape[1] == ci and weight.shape[2] == 3,
-             f"conv1d_full weight must have shape (C_out, {ci}, 3), got {weight.shape}")
-    co = weight.shape[0]
-    _require(bias.shape == (co,), f"conv1d_full bias must have shape ({co},)")
-    xd = x.data[None] if squeeze else x.data
-    t = xd.shape[1]
-    to = t + 2 * padding - 2
-    _require(to >= 1, "conv1d_full output would be empty")
-
-    xp = np.pad(xd, ((0, 0), (padding, padding), (0, 0)))
-    y = np.zeros((xd.shape[0], to, co), dtype=np.result_type(xd, weight.data))
-    for k in range(3):
-        y += xp[:, k:k + to] @ weight.data[:, :, k].T
-    y += bias.data[None, None, :]
-    if squeeze:
-        y = y[0]
-
-    out = make_node(y, (x, weight, bias), "conv1d_full")
-    if out._prev:
-        def backward(g):
-            gb = g[None] if squeeze else g
-            if x.requires_grad or weight.requires_grad:
-                gxp = np.zeros_like(xp) if x.requires_grad else None
-                for k in range(3):
-                    if weight.requires_grad:
-                        gw = np.einsum("bto,btc->oc", gb, xp[:, k:k + to], optimize=True)
-                        if weight.grad is None:
-                            weight.grad = np.zeros_like(weight.data)
-                        weight.grad[:, :, k] += gw
-                    if x.requires_grad:
-                        gxp[:, k:k + to] += gb @ weight.data[:, :, k]
-                if x.requires_grad:
-                    gx = gxp[:, padding:padding + t] if padding else gxp
-                    x.accumulate_grad(gx[0] if squeeze else gx)
-            if bias.requires_grad:
-                bias.accumulate_grad(gb.sum(axis=(0, 1)))
+                bias.accumulate_grad(g2.sum(axis=0))
         out._backward = backward
     return out
 
@@ -322,7 +229,7 @@ def batch_norm(x, alpha, beta, running_mean, running_var, axis, training,
 
 
 # ---------------------------------------------------------------------------
-# Activations, pooling, linear layers
+# Activations and pooling
 # ---------------------------------------------------------------------------
 
 def relu(x):
@@ -353,7 +260,7 @@ def temporal_max_pool(x):
 
     Gradient is routed to the first occurrence of the per-channel max.
     """
-    _as_seq(x, "temporal_max_pool")
+    _require(x.ndim in (2, 3), f"temporal_max_pool expects [T,C] or [B,T,C], got {x.shape}")
     taxis = x.ndim - 2
     _require(x.shape[taxis] >= 1, "temporal_max_pool requires T >= 1")
     idx = np.argmax(x.data, axis=taxis)
@@ -397,27 +304,6 @@ def max_pool2d(x, kernel=3, stride=2, padding=1):
             np.add.at(gxp, (bi, ci, rows, cols), g)
             x.accumulate_grad(gxp[:, :, padding:padding + h, padding:padding + w]
                               if padding else gxp)
-        out._backward = backward
-    return out
-
-
-def fc(x, weight, bias):
-    """Affine map: [B,C_in] -> [B,C_out]."""
-    _require(x.ndim == 2, f"fc input must be 2D, got {x.shape}")
-    ci = x.shape[1]
-    _require(weight.ndim == 2 and weight.shape[1] == ci,
-             f"fc weight must have shape (C_out, {ci}), got {weight.shape}")
-    _require(bias.shape == (weight.shape[0],),
-             f"fc bias must have shape ({weight.shape[0]},)")
-    out = make_node(x.data @ weight.data.T + bias.data, (x, weight, bias), "fc")
-    if out._prev:
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate_grad(g @ weight.data)
-            if weight.requires_grad:
-                weight.accumulate_grad(g.T @ x.data)
-            if bias.requires_grad:
-                bias.accumulate_grad(g.sum(axis=0))
         out._backward = backward
     return out
 

@@ -132,8 +132,9 @@ def train(model, clips, cfg, log=None):
     """Train in place on a clip list; returns the loss history.
 
     Deterministic for a given config seed: shuffle order and snippet
-    offsets derive from it. A non-finite loss aborts with the epoch/step
-    in the error message.
+    offsets derive from it. Each epoch takes len(clips) // batch_size full
+    batches. A non-finite loss aborts with the epoch/step in the error
+    message.
     """
     if not clips:
         raise ValueError("training dataset is empty")
@@ -146,7 +147,12 @@ def train(model, clips, cfg, log=None):
     for epoch in range(cfg.epochs):
         opt.lr = _lr_at(cfg, epoch)
         order = rng.permutation(len(clips))
-        for lo in range(0, len(clips), cfg.batch_size):
+        # A final partial batch is dropped (the shuffle changes per epoch):
+        # its train-mode batch-norm statistics come from a few clips, which
+        # makes its update an outlier. A dataset smaller than one batch
+        # still trains as one batch.
+        for lo in range(0, max(1, len(clips) // cfg.batch_size) * cfg.batch_size,
+                        cfg.batch_size):
             batch_clips = [clips[i] for i in order[lo:lo + cfg.batch_size]]
             arr, labels = data_mod.make_batch(batch_clips, sampler,
                                               seed=(cfg.seed, epoch, step))
@@ -177,13 +183,15 @@ def evaluate(model, clips, batch_size=32):
     sampler = data_mod.SamplerConfig(t=model.spec.t, n=model.spec.n, train=False)
     k = model.spec.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
-    for lo in range(0, len(clips), batch_size):
-        batch_clips = clips[lo:lo + batch_size]
-        arr, labels = data_mod.make_batch(batch_clips, sampler)
-        logits = model_mod.forward(model, Tensor(arr))
-        pred = logits.data.argmax(axis=1)
-        np.add.at(confusion, (labels, pred), 1)
-    model.set_mode(mode)
+    try:
+        for lo in range(0, len(clips), batch_size):
+            batch_clips = clips[lo:lo + batch_size]
+            arr, labels = data_mod.make_batch(batch_clips, sampler)
+            logits = model_mod.forward(model, Tensor(arr))
+            pred = logits.data.argmax(axis=1)
+            np.add.at(confusion, (labels, pred), 1)
+    finally:
+        model.set_mode(mode)
     return Metrics(confusion=confusion)
 
 

@@ -94,17 +94,18 @@ def test_c05_forward_oracle_equivalence():
         t_, h3, w3 = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         x = rng.standard_normal((b, c, t_, h3, w3))
         wt = rng.standard_normal((o, c, 3, 1, 1))
-        got = ops.conv3d_t311(t64(x), t64(wt), t64(bi)).data
+        got = ops.temporal_conv3(t64(x.transpose(0, 2, 1, 3, 4)), t64(wt[:, :, :, 0, 0]),
+                                 t64(bi)).data.transpose(0, 2, 1, 3, 4)
         assert ref.relative_error(got, ref.conv3d_t311_ref(x, wt, bi)) < 1e-6
         instances += 1
 
         tl, ci, co = int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
         xs = rng.standard_normal((tl, ci))
         wc, bc = rng.standard_normal((ci, 3)), rng.standard_normal(ci)
-        got = ops.conv1d_channelwise(t64(xs), t64(wc), t64(bc)).data
+        got = ops.temporal_conv3(t64(xs), t64(wc), t64(bc)).data
         assert ref.relative_error(got, ref.conv1d_channelwise_ref(xs, wc, bc)) < 1e-6
         wtw, btw = rng.standard_normal((co, ci)), rng.standard_normal(co)
-        got = ops.conv1d_temporalwise(t64(xs), t64(wtw), t64(btw)).data
+        got = ops.linear(t64(xs), t64(wtw), t64(btw)).data
         assert ref.relative_error(got, ref.conv1d_temporalwise_ref(xs, wtw, btw)) < 1e-6
         instances += 2
 
@@ -161,11 +162,12 @@ def test_c07_tm_init_invariant():
     c, t = 12, 6
     x = rng.standard_normal((2, c, t, 4, 4)).astype(np.float32)
     p = model.init_tm_block(c)
-    y = ops.conv3d_t311(Tensor(x), Tensor(p["conv/w"]), Tensor(p["conv/b"]))
+    y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)),
+                           Tensor(p["conv/w"].reshape(c, c, 3)), Tensor(p["conv/b"]))
     y = ops.batch_norm(y, Tensor(p["bn/alpha"]), Tensor(p["bn/beta"]),
                        Tensor(p["bn/mean"]), Tensor(p["bn/var"]),
-                       axis=1, training=False)
-    y = ops.relu(y).data
+                       axis=2, training=False)
+    y = ops.relu(y).data.transpose(0, 2, 1, 3, 4)
     worst = 0.0
     for ti in range(1, t - 1):
         want = np.maximum(x[:, :, ti - 1:ti + 2].mean(axis=(1, 2)), 0)

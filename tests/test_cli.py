@@ -200,3 +200,15 @@ def test_config_file_with_flag_precedence(capsys, tmp_path, micro_files):
     assert code == 0
     assert "seed: 9" in out            # from the file
     assert out.count("epoch ") == 1    # flag overrode the file's 5 epochs
+
+
+def test_config_line_without_equals_names_file_and_line(capsys, tmp_path, micro_files):
+    spec, synth = micro_files
+    ds = tmp_path / "ds.stvd"
+    run_cli(capsys, "gen-data", "--config", str(synth), "--out", str(ds))
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text("# comment\n\nepochs = 1\nbatch_size 4\n")
+    code, _, err = run_cli(capsys, "train", "--spec", str(spec), "--data", str(ds),
+                           "--config", str(train_cfg), "--out", str(tmp_path / "m.stnc"))
+    assert code == 1
+    assert f"{train_cfg}: line 4:" in err

@@ -23,8 +23,8 @@ def test_relu_away_from_zero_is_nearly_exact():
 
 
 def test_run_op_checks_filters_and_validates():
-    res = run_op_checks(op="fc", instances=3)
-    assert set(res) == {"fc"} and res["fc"] < TOL
+    res = run_op_checks(op="linear", instances=3)
+    assert set(res) == {"linear"} and res["linear"] < TOL
     with pytest.raises(ValueError, match="unknown op"):
         run_op_checks(op="definitely_not_an_op")
 

@@ -104,22 +104,25 @@ class TestTmInit:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, c, t, 3, 3)).astype(np.float32)
         p = model.init_tm_block(c)
-        y = ops.conv3d_t311(Tensor(x), Tensor(p["conv/w"]), Tensor(p["conv/b"]))
+        y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)),
+                               Tensor(p["conv/w"].reshape(c, c, 3)), Tensor(p["conv/b"]))
         y = ops.batch_norm(y, Tensor(p["bn/alpha"]), Tensor(p["bn/beta"]),
                            Tensor(p["bn/mean"]), Tensor(p["bn/var"]),
-                           axis=1, training=False)
-        y = ops.relu(y)
+                           axis=2, training=False)
+        y = ops.relu(y).data.transpose(0, 2, 1, 3, 4)
         for ti in range(1, t - 1):
             want = np.maximum(x[:, :, ti - 1:ti + 2].mean(axis=(1, 2)), 0)
             for ci in range(c):
-                assert np.abs(y.data[:, ci, ti] - want).max() < 1e-5
+                assert np.abs(y[:, ci, ti] - want).max() < 1e-5
 
     def test_constant_input_passthrough(self):
         c, v = 4, 1.25
         x = np.full((1, c, 6, 2, 2), v, dtype=np.float32)
         p = model.init_tm_block(c)
-        y = ops.conv3d_t311(Tensor(x), Tensor(p["conv/w"]), Tensor(p["conv/b"]))
-        assert np.abs(y.data[:, :, 1:-1] - v).max() < 1e-6
+        y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)),
+                               Tensor(p["conv/w"].reshape(c, c, 3)), Tensor(p["conv/b"]))
+        y = y.data.transpose(0, 2, 1, 3, 4)
+        assert np.abs(y[:, :, 1:-1] - v).max() < 1e-6
 
 
 class TestForwardSemantics:

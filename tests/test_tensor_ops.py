@@ -13,6 +13,12 @@ def t64(arr, grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
 
 
+def conv3d_t311(x, w, b):
+    """temporal_conv3 on a [B,C,T,H,W] input with a (O,C,3,1,1) kernel."""
+    y = ops.temporal_conv3(t64(x.transpose(0, 2, 1, 3, 4)), t64(w[:, :, :, 0, 0]), t64(b))
+    return y.data.transpose(0, 2, 1, 3, 4)
+
+
 class TestConv2d:
     def test_box_sum_symmetry(self):
         x = t64(np.ones((1, 1, 4, 4)))
@@ -47,32 +53,31 @@ class TestConv2d:
 class TestConv3dT311:
     def test_window_average_with_zero_padding(self):
         c, v = 4, 2.5
-        x = t64(np.full((1, c, 5, 2, 2), v))
-        w = t64(np.full((c, c, 3, 1, 1), 1.0 / (3 * c)))
-        y = ops.conv3d_t311(x, w, t64(np.zeros(c))).data
+        x = np.full((1, c, 5, 2, 2), v)
+        w = np.full((c, c, 3, 1, 1), 1.0 / (3 * c))
+        y = conv3d_t311(x, w, np.zeros(c))
         assert np.allclose(y[:, :, 1:-1], v)
         assert np.allclose(y[:, :, 0], 2 * v / 3)
         assert np.allclose(y[:, :, -1], 2 * v / 3)
 
     def test_three_frame_sequence(self):
-        x = t64(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1, 1))
-        w = t64(np.ones((1, 1, 3, 1, 1)))
-        y = ops.conv3d_t311(x, w, t64(np.zeros(1)))
-        assert np.allclose(y.data.ravel(), [3, 6, 5])
+        x = np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1, 1)
+        y = conv3d_t311(x, np.ones((1, 1, 3, 1, 1)), np.zeros(1))
+        assert np.allclose(y.ravel(), [3, 6, 5])
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 4, 5, 2, 2))
         w = rng.standard_normal((3, 4, 3, 1, 1))
         b = rng.standard_normal(3)
-        got = ops.conv3d_t311(t64(x), t64(w), t64(b))
-        assert ref.relative_error(got.data, ref.conv3d_t311_ref(x, w, b)) < 1e-6
+        got = conv3d_t311(x, w, b)
+        assert ref.relative_error(got, ref.conv3d_t311_ref(x, w, b)) < 1e-6
 
-    def test_spatial_kernel_must_be_1x1(self):
-        x = t64(np.zeros((1, 1, 3, 4, 4)))
-        w = t64(np.zeros((1, 1, 3, 3, 3)))
-        with pytest.raises(ValueError, match="1x1 spatial"):
-            ops.conv3d_t311(x, w, t64(np.zeros(1)))
+    def test_wrong_weight_shape_rejected(self):
+        x = t64(np.zeros((1, 3, 2, 4, 4)))
+        for shape in ((3, 3), (2, 2, 2), (1, 2, 3, 1, 1)):
+            with pytest.raises(ValueError, match="weight must have shape"):
+                ops.temporal_conv3(x, t64(np.zeros(shape)), t64(np.zeros(shape[0])))
 
 
 class TestConv1dChannelwise:
@@ -81,53 +86,53 @@ class TestConv1dChannelwise:
         x = rng.standard_normal((6, 4))
         w = np.zeros((4, 3))
         w[:, 1] = 1.0
-        y = ops.conv1d_channelwise(t64(x), t64(w), t64(np.zeros(4)))
+        y = ops.temporal_conv3(t64(x), t64(w), t64(np.zeros(4)))
         assert np.allclose(y.data, x)
 
     def test_three_step_sequence(self):
-        y = ops.conv1d_channelwise(t64([[1.0], [2.0], [3.0]]),
-                                   t64(np.ones((1, 3))), t64(np.zeros(1)))
+        y = ops.temporal_conv3(t64([[1.0], [2.0], [3.0]]),
+                               t64(np.ones((1, 3))), t64(np.zeros(1)))
         assert np.allclose(y.data.ravel(), [3, 6, 5])
 
     def test_batched_equals_per_sequence(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 5, 2))
         w, b = rng.standard_normal((2, 3)), rng.standard_normal(2)
-        batched = ops.conv1d_channelwise(t64(x), t64(w), t64(b)).data
+        batched = ops.temporal_conv3(t64(x), t64(w), t64(b)).data
         for i in range(3):
-            single = ops.conv1d_channelwise(t64(x[i]), t64(w), t64(b)).data
+            single = ops.temporal_conv3(t64(x[i]), t64(w), t64(b)).data
             assert np.allclose(batched[i], single)
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((7, 3))
         w, b = rng.standard_normal((3, 3)), rng.standard_normal(3)
-        got = ops.conv1d_channelwise(t64(x), t64(w), t64(b))
+        got = ops.temporal_conv3(t64(x), t64(w), t64(b))
         assert ref.relative_error(got.data, ref.conv1d_channelwise_ref(x, w, b)) < 1e-6
 
     def test_channel_count_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            ops.conv1d_channelwise(t64(np.zeros((4, 3))),
-                                   t64(np.zeros((2, 3))), t64(np.zeros(2)))
+            ops.temporal_conv3(t64(np.zeros((4, 3))),
+                               t64(np.zeros((2, 3))), t64(np.zeros(2)))
 
 
 class TestConv1dTemporalwise:
     def test_identity_weight(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((5, 3))
-        y = ops.conv1d_temporalwise(t64(x), t64(np.eye(3)), t64(np.zeros(3)))
+        y = ops.linear(t64(x), t64(np.eye(3)), t64(np.zeros(3)))
         assert np.allclose(y.data, x)
 
     def test_dot_product_example(self):
-        y = ops.conv1d_temporalwise(t64([[1.0, 2.0], [3.0, 4.0]]),
-                                    t64([[1.0, 1.0]]), t64([0.5]))
+        y = ops.linear(t64([[1.0, 2.0], [3.0, 4.0]]),
+                       t64([[1.0, 1.0]]), t64([0.5]))
         assert np.allclose(y.data, [[3.5], [7.5]])
 
     def test_equals_matmul_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((6, 4))
         w, b = rng.standard_normal((3, 4)), rng.standard_normal(3)
-        got = ops.conv1d_temporalwise(t64(x), t64(w), t64(b)).data
+        got = ops.linear(t64(x), t64(w), t64(b)).data
         assert np.allclose(got, x @ w.T + b)
         assert ref.relative_error(got, ref.conv1d_temporalwise_ref(x, w, b)) < 1e-6
 
@@ -137,7 +142,7 @@ class TestConv1dFull:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((6, 3))
         w, b = rng.standard_normal((4, 3, 3)), rng.standard_normal(4)
-        got = ops.conv1d_full(t64(x), t64(w), t64(b))
+        got = ops.temporal_conv3(t64(x), t64(w), t64(b))
         assert ref.relative_error(got.data, ref.conv1d_full_ref(x, w, b)) < 1e-6
 
 
@@ -276,14 +281,14 @@ class TestFcAndLosses:
     def test_fc_identity(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((3, 4))
-        y = ops.fc(t64(x), t64(np.eye(4)), t64(np.zeros(4)))
+        y = ops.linear(t64(x), t64(np.eye(4)), t64(np.zeros(4)))
         assert np.allclose(y.data, x)
 
     def test_fc_matches_matmul_oracle(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((3, 5))
         w, b = rng.standard_normal((2, 5)), rng.standard_normal(2)
-        got = ops.fc(t64(x), t64(w), t64(b)).data
+        got = ops.linear(t64(x), t64(w), t64(b)).data
         assert ref.relative_error(got, ref.fc_ref(x, w, b)) < 1e-6
 
     def test_uniform_logits_loss(self):
@@ -320,8 +325,8 @@ class TestReceptiveFields:
         w2, b2 = rng.standard_normal((2, 3)), rng.standard_normal(2)
 
         def net(x):
-            h = ops.conv1d_channelwise(t64(x), t64(w1), t64(b1))
-            return ops.conv1d_channelwise(h, t64(w2), t64(b2)).data
+            h = ops.temporal_conv3(t64(x), t64(w1), t64(b1))
+            return ops.temporal_conv3(h, t64(w2), t64(b2)).data
 
         x = rng.standard_normal((t, 2))
         base = net(x)
@@ -337,11 +342,11 @@ class TestReceptiveFields:
         rng = np.random.default_rng(20)
         w, b = rng.standard_normal((3, 2)), rng.standard_normal(3)
         x = rng.standard_normal((7, 2))
-        base = ops.conv1d_temporalwise(t64(x), t64(w), t64(b)).data
+        base = ops.linear(t64(x), t64(w), t64(b)).data
         for t0 in range(7):
             bumped = x.copy()
             bumped[t0] += 1.0
-            out = ops.conv1d_temporalwise(t64(bumped), t64(w), t64(b)).data
+            out = ops.linear(t64(bumped), t64(w), t64(b)).data
             changed = np.nonzero(np.abs(out - base).max(axis=1) > 1e-12)[0]
             assert list(changed) == [t0]
 
@@ -367,8 +372,8 @@ class TestGraphPlumbing:
         big = Tensor(np.full((1, 2), 3e38, dtype=np.float32), requires_grad=True)
         w = Tensor(np.full((2, 2), 3e38, dtype=np.float32))
         with np.errstate(over="ignore"):
-            with pytest.raises(NumericsError, match="conv1d_temporalwise"):
-                ops.conv1d_temporalwise(big, w, Tensor(np.zeros(2, dtype=np.float32)))
+            with pytest.raises(NumericsError, match="linear"):
+                ops.linear(big, w, Tensor(np.zeros(2, dtype=np.float32)))
 
     def test_non_finite_leaf_raises(self):
         with pytest.raises(NumericsError):
@@ -403,7 +408,7 @@ class TestRandomOracleSweep:
             x = rng.standard_normal((b, c, t, h, w))
             wt = rng.standard_normal((o, c, 3, 1, 1))
             bi = rng.standard_normal(o)
-            got = ops.conv3d_t311(t64(x), t64(wt), t64(bi)).data
+            got = conv3d_t311(x, wt, bi)
             assert ref.relative_error(got, ref.conv3d_t311_ref(x, wt, bi)) < 1e-6
 
     def test_seq_conv_sweep(self):
@@ -412,13 +417,13 @@ class TestRandomOracleSweep:
             t, ci, co = int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
             x = rng.standard_normal((t, ci))
             wc, bc = rng.standard_normal((ci, 3)), rng.standard_normal(ci)
-            got = ops.conv1d_channelwise(t64(x), t64(wc), t64(bc)).data
+            got = ops.temporal_conv3(t64(x), t64(wc), t64(bc)).data
             assert ref.relative_error(got, ref.conv1d_channelwise_ref(x, wc, bc)) < 1e-6
             wt, bt = rng.standard_normal((co, ci)), rng.standard_normal(co)
-            got = ops.conv1d_temporalwise(t64(x), t64(wt), t64(bt)).data
+            got = ops.linear(t64(x), t64(wt), t64(bt)).data
             assert ref.relative_error(got, ref.conv1d_temporalwise_ref(x, wt, bt)) < 1e-6
             wf, bf = rng.standard_normal((co, ci, 3)), rng.standard_normal(co)
-            got = ops.conv1d_full(t64(x), t64(wf), t64(bf)).data
+            got = ops.temporal_conv3(t64(x), t64(wf), t64(bf)).data
             assert ref.relative_error(got, ref.conv1d_full_ref(x, wf, bf)) < 1e-6
 
     def test_bn_and_pool_sweep(self):

@@ -85,6 +85,13 @@ class TestTrainLoop:
         assert increases <= 1
         assert losses[-1] < losses[0]
 
+    def test_partial_final_batch_dropped(self):
+        clips = micro_clips(per_class=2)  # 6 clips
+        for batch_size, steps in ((4, 1), (6, 1), (8, 1), (3, 2)):
+            m = model.build_model(micro_spec(), seed=6)
+            cfg = training.TrainConfig(epochs=2, batch_size=batch_size, lr=0.01, seed=6)
+            assert len(training.train(m, clips, cfg).losses) == 2 * steps
+
     def test_identical_seed_identical_losses(self):
         clips = micro_clips(per_class=2)
         cfg = training.TrainConfig(epochs=2, batch_size=4, lr=0.02, seed=5)
@@ -139,6 +146,15 @@ class TestEvaluate:
         assert np.array_equal(m1.confusion, m2.confusion)
         assert np.array_equal(stats_before, m.params["stage0/bn/mean"].data)
         assert m.mode == "train"  # restored
+
+    def test_mode_restored_when_forward_raises(self):
+        m = model.build_model(micro_spec(), seed=8)
+        clips = data.gen_synthetic(data.SynthConfig(
+            classes=MICRO_CLASSES, clips_per_class=1, frames=8, height=16, width=16,
+            object_scale=4, seed=0))
+        with pytest.raises(ValueError, match="does not match spec"):
+            training.evaluate(m, clips)
+        assert m.mode == "train"
 
     def test_balanced_data_top1_equals_class_mean(self):
         clips = micro_clips(per_class=5, seed=9)
