@@ -10,10 +10,73 @@ from stnet.tensor import Tensor
 TOL = 1e-4
 
 
-@pytest.mark.parametrize("op_name", sorted(OP_CHECKS))
+def _t(rng, shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
+
+
+def _dim(rng, lo, hi):
+    return int(rng.integers(lo, hi))
+
+
+def _seq_shape(rng, c):
+    t = _dim(rng, 1, 6)
+    return (t, c) if rng.integers(2) else (_dim(rng, 1, 3), t, c)
+
+
+def _case_conv3d_t311(rng):
+    # TM block: dense [O,C,3] weight on [B,T,C,H,W].
+    b, t, c, o = _dim(rng, 1, 3), _dim(rng, 1, 5), _dim(rng, 1, 4), _dim(rng, 1, 4)
+    x = _t(rng, (b, t, c, _dim(rng, 1, 4), _dim(rng, 1, 4)))
+    return grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3)), _t(rng, (o,))])
+
+
+def _case_conv1d_channelwise(rng):
+    # TXB channel-wise conv: depthwise [C,3] weight on [T,C] or [B,T,C].
+    c = _dim(rng, 1, 5)
+    return grad_check(ops.temporal_conv3, [_t(rng, _seq_shape(rng, c)),
+                                           _t(rng, (c, 3)), _t(rng, (c,))])
+
+
+def _case_conv1d_full(rng):
+    # Ordinary temporal-conv head: dense [O,C,3] weight on [T,C] or [B,T,C].
+    c, o = _dim(rng, 1, 4), _dim(rng, 1, 4)
+    return grad_check(ops.temporal_conv3, [_t(rng, _seq_shape(rng, c)),
+                                           _t(rng, (o, c, 3)), _t(rng, (o,))])
+
+
+def _case_conv1d_temporalwise(rng):
+    # TXB temporal-wise conv: linear on [T,C] or [B,T,C].
+    ci, co = _dim(rng, 1, 5), _dim(rng, 1, 5)
+    return grad_check(ops.linear, [_t(rng, _seq_shape(rng, ci)),
+                                   _t(rng, (co, ci)), _t(rng, (co,))])
+
+
+def _case_fc(rng):
+    # Classifier: linear on [B,C].
+    b, ci, co = _dim(rng, 1, 4), _dim(rng, 1, 6), _dim(rng, 1, 6)
+    return grad_check(ops.linear, [_t(rng, (b, ci)), _t(rng, (co, ci)), _t(rng, (co,))])
+
+
+# Each fixed-rank call the model makes through temporal_conv3 and linear,
+# checked on its own so that a rank-specific fault is named by its caller.
+CALL_CASES = {
+    "conv3d_t311": _case_conv3d_t311,
+    "conv1d_channelwise": _case_conv1d_channelwise,
+    "conv1d_full": _case_conv1d_full,
+    "conv1d_temporalwise": _case_conv1d_temporalwise,
+    "fc": _case_fc,
+}
+CHECKS = {**OP_CHECKS, **CALL_CASES}
+
+
+def test_call_cases_do_not_shadow_op_checks():
+    assert not set(CALL_CASES) & set(OP_CHECKS)
+
+
+@pytest.mark.parametrize("op_name", sorted(CHECKS))
 def test_op_gradients(op_name):
     rng = np.random.default_rng(7)
-    worst = max(OP_CHECKS[op_name](rng) for _ in range(5))
+    worst = max(CHECKS[op_name](rng) for _ in range(5))
     assert worst < TOL, f"{op_name}: max relative error {worst:.3e}"
 
 
