@@ -304,7 +304,8 @@ def _run_stage(p, i, st, x, training):
 
 def _run_tm(p, i, x, b, t, training):
     bt, c, h, w = x.shape
-    # The (3,1,1) kernel is a dense 3-tap conv over the snippet axis; H, W ride along.
+    # The (3,1,1) kernel is a dense 3-tap conv over the snippet axis; H, W ride
+    # along. Its output is channel-major in memory, so the final reshape copies.
     weight = p[f"tm{i}/conv/w"]
     y = ops.temporal_conv3(x.reshape((b, t, c, h, w)), weight.reshape(weight.shape[:3]),
                            p[f"tm{i}/conv/b"])

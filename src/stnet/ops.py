@@ -113,8 +113,16 @@ def temporal_conv3(x, weight, bias):
     pad = [(0, 0)] * xd.ndim
     pad[1] = (1, 1)
     xp = np.pad(xd, pad)
+    # With spatial axes the output is stored channel-major per clip ([B,O,T,*S]
+    # in memory, as a (3,1,1) 3D conv lays it out). A per-channel reduction
+    # downstream (the TM block's batch norm) then sums each channel's T*S
+    # values as one contiguous run, in the order it would over [B,O,T,*S].
+    dtype = np.result_type(xd, weight.data)
+    if xd.ndim > 3:
+        y = np.zeros((xd.shape[0], co, t) + xd.shape[3:], dtype=dtype).swapaxes(1, 2)
+    else:
+        y = np.zeros((xd.shape[0], t, co), dtype=dtype)
     # One contraction per tap; each tap is a shifted window of the padded input.
-    y = np.zeros((xd.shape[0], t, co) + xd.shape[3:], dtype=np.result_type(xd, weight.data))
     for k in range(3):
         y += np.einsum(f"btc...,{wsub}->{ysub}", xp[:, k:k + t], weight.data[..., k],
                        optimize=True)

@@ -132,9 +132,8 @@ def train(model, clips, cfg, log=None):
     """Train in place on a clip list; returns the loss history.
 
     Deterministic for a given config seed: shuffle order and snippet
-    offsets derive from it. Each epoch takes len(clips) // batch_size full
-    batches. A non-finite loss aborts with the epoch/step in the error
-    message.
+    offsets derive from it. A non-finite loss aborts with the epoch/step
+    in the error message.
     """
     if not clips:
         raise ValueError("training dataset is empty")
@@ -147,12 +146,7 @@ def train(model, clips, cfg, log=None):
     for epoch in range(cfg.epochs):
         opt.lr = _lr_at(cfg, epoch)
         order = rng.permutation(len(clips))
-        # A final partial batch is dropped (the shuffle changes per epoch):
-        # its train-mode batch-norm statistics come from a few clips, which
-        # makes its update an outlier. A dataset smaller than one batch
-        # still trains as one batch.
-        for lo in range(0, max(1, len(clips) // cfg.batch_size) * cfg.batch_size,
-                        cfg.batch_size):
+        for lo in range(0, len(clips), cfg.batch_size):
             batch_clips = [clips[i] for i in order[lo:lo + cfg.batch_size]]
             arr, labels = data_mod.make_batch(batch_clips, sampler,
                                               seed=(cfg.seed, epoch, step))

@@ -73,6 +73,17 @@ class TestConv3dT311:
         got = conv3d_t311(x, w, b)
         assert ref.relative_error(got, ref.conv3d_t311_ref(x, w, b)) < 1e-6
 
+    def test_channel_sums_follow_clip_major_layout(self):
+        # Per-channel sums over the [B,T,C,H,W] output (the TM block's batch
+        # norm) must add in the order of a contiguous [B,C,T,H,W] 3D-conv
+        # output, or training results depend on the axis order of the call.
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((4, 4, 8, 8, 8)).astype(np.float32))
+        w = Tensor(rng.standard_normal((8, 8, 3)).astype(np.float32))
+        y = ops.temporal_conv3(x, w, Tensor(np.zeros(8, np.float32))).data
+        clip_major = np.ascontiguousarray(y.transpose(0, 2, 1, 3, 4))
+        assert np.array_equal(y.sum(axis=(0, 1, 3, 4)), clip_major.sum(axis=(0, 2, 3, 4)))
+
     def test_wrong_weight_shape_rejected(self):
         x = t64(np.zeros((1, 3, 2, 4, 4)))
         for shape in ((3, 3), (2, 2, 2), (1, 2, 3, 1, 1)):

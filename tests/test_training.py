@@ -85,13 +85,6 @@ class TestTrainLoop:
         assert increases <= 1
         assert losses[-1] < losses[0]
 
-    def test_partial_final_batch_dropped(self):
-        clips = micro_clips(per_class=2)  # 6 clips
-        for batch_size, steps in ((4, 1), (6, 1), (8, 1), (3, 2)):
-            m = model.build_model(micro_spec(), seed=6)
-            cfg = training.TrainConfig(epochs=2, batch_size=batch_size, lr=0.01, seed=6)
-            assert len(training.train(m, clips, cfg).losses) == 2 * steps
-
     def test_identical_seed_identical_losses(self):
         clips = micro_clips(per_class=2)
         cfg = training.TrainConfig(epochs=2, batch_size=4, lr=0.02, seed=5)
