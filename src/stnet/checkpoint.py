@@ -8,6 +8,8 @@ against the spec and is bit-exact for float32 models.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from . import serial
@@ -23,18 +25,31 @@ class ParamMismatchError(serial.FormatError):
 
 
 def save_checkpoint(model, path):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        serial.write_u32(f, VERSION)
-        serial.write_u32(f, len(model.params))
-        for name, tensor in model.params.items():
-            encoded = name.encode("utf-8")
-            serial.write_u16(f, len(encoded))
-            f.write(encoded)
-            serial.write_u8(f, tensor.ndim)
-            for dim in tensor.shape:
-                serial.write_u32(f, dim)
-            f.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    """Write ``model`` to ``path`` atomically.
+
+    The tensors go to a temporary file in the same directory, which
+    replaces ``path`` only once it is complete: a write that fails
+    leaves any previous checkpoint at ``path`` as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            serial.write_u32(f, VERSION)
+            serial.write_u32(f, len(model.params))
+            for name, tensor in model.params.items():
+                encoded = name.encode("utf-8")
+                serial.write_u16(f, len(encoded))
+                f.write(encoded)
+                serial.write_u8(f, tensor.ndim)
+                for dim in tensor.shape:
+                    serial.write_u32(f, dim)
+                f.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, spec):
@@ -55,8 +70,6 @@ def load_checkpoint(path, spec):
             name = serial.read_exact(f, name_len, "tensor name").decode("utf-8")
             rank = serial.read_u8(f, f"rank of {name!r}")
             shape = tuple(serial.read_u32(f, f"extent of {name!r}") for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            raw = serial.read_exact(f, 4 * n, f"values of {name!r}")
             if name in loaded:
                 raise ParamMismatchError(f"duplicate tensor {name!r} in checkpoint")
             if name not in expected:
@@ -66,6 +79,7 @@ def load_checkpoint(path, spec):
                 raise ParamMismatchError(
                     f"shape mismatch for {name!r}: checkpoint has {shape}, "
                     f"spec {spec.name!r} expects {expected[name]}")
+            raw = serial.read_exact(f, 4 * int(np.prod(shape)), f"values of {name!r}")
             loaded[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     missing = sorted(set(expected) - set(loaded))
     if missing:

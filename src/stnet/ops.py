@@ -28,6 +28,23 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     """Strided 2D cross-correlation: [B,C,H,W] -> [B,O,H',W'].
 
     H' = floor((H + 2*padding - kh) / stride) + 1, likewise W'.
+
+    One matrix product per kernel tap (i, j), with no im2col copy. The
+    padded input is held channel-major, [C, B, H+2p, W+2p], so that each
+    tap's window is a [C, B*H'*W'] matrix without a transpose:
+
+        forward      y[O, B*H'*W']  += W[:, :, i, j]   @ x_tap[C, B*H'*W']
+        weight grad  gW[:, :, i, j] += (x_tap @ g[B*H'*W', O]).T
+        input grad   gx_tap         += W[:, :, i, j].T @ g[O, B*H'*W']
+
+    ``g`` is transposed to each of its two layouts once per backward, and
+    y once at the end. Each product has the operands, layouts and shape
+    that a per-tap ``np.einsum(..., optimize=True)`` passes to ``matmul``,
+    and the taps accumulate in row-major kernel order, so every element
+    sums its terms in the order, and with the rounding, of such a per-tap
+    contraction. One product per image, or with its operands swapped,
+    would not: BLAS kernels for small or odd-sized matrices can order a
+    dot product differently.
     """
     _require(x.ndim == 4, f"conv2d input must be 4D, got {x.shape}")
     _require(weight.ndim == 4, f"conv2d weight must be 4D, got {weight.shape}")
@@ -41,39 +58,39 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     _require(ho >= 1 and wo >= 1,
              f"conv2d output would be empty for input {x.shape} and kernel {weight.shape}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    y = np.zeros((b_, o, ho, wo), dtype=np.result_type(x.data, weight.data))
-    # Accumulate one 1x1 contraction per kernel offset; avoids an im2col copy.
-    for i in range(kh):
-        for j in range(kw):
-            xs = xp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                    j:j + stride * (wo - 1) + 1:stride]
-            y += np.einsum("bchw,oc->bohw", xs, weight.data[:, :, i, j], optimize=True)
-    y += bias.data[None, :, None, None]
+    xc = np.zeros((c, b_, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xc[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
+    # Kernel taps in row-major order, each with the rows and columns of the
+    # padded input it reads.
+    taps = [(i, j, slice(i, i + stride * (ho - 1) + 1, stride),
+             slice(j, j + stride * (wo - 1) + 1, stride))
+            for i in range(kh) for j in range(kw)]
+    yc = np.zeros((o, b_ * ho * wo), dtype=np.result_type(x.data, weight.data))
+    for i, j, hs, ws in taps:
+        yc += weight.data[:, :, i, j] @ xc[:, :, hs, ws].reshape(c, -1)
+    # A C-ordered [B,O,H',W'] output: reductions downstream (batch norm)
+    # sum in memory order, so the layout fixes their rounding.
+    y = np.empty((b_, o, ho, wo), dtype=yc.dtype)
+    np.add(yc.reshape(o, b_, ho, wo).transpose(1, 0, 2, 3),
+           bias.data[None, :, None, None], out=y)
 
     out = make_node(y, (x, weight, bias), "conv2d")
     if out._prev:
         def backward(g):
-            if weight.requires_grad or x.requires_grad:
-                gxp = np.zeros_like(xp) if x.requires_grad else None
-                for i in range(kh):
-                    for j in range(kw):
-                        sl = (slice(None), slice(None),
-                              slice(i, i + stride * (ho - 1) + 1, stride),
-                              slice(j, j + stride * (wo - 1) + 1, stride))
-                        if weight.requires_grad:
-                            gw = np.einsum("bohw,bchw->oc", g, xp[sl], optimize=True)
-                            if weight.grad is None:
-                                weight.grad = np.zeros_like(weight.data)
-                            weight.grad[:, :, i, j] += gw
-                        if x.requires_grad:
-                            gxp[sl] += np.einsum("bohw,oc->bchw", g,
-                                                 weight.data[:, :, i, j], optimize=True)
-                if x.requires_grad:
-                    if padding:
-                        x.accumulate_grad(gxp[:, :, padding:padding + h, padding:padding + w])
-                    else:
-                        x.accumulate_grad(gxp)
+            if weight.requires_grad:
+                if weight.grad is None:
+                    weight.grad = np.zeros_like(weight.data)
+                g_l = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, o)
+                for i, j, hs, ws in taps:
+                    weight.grad[:, :, i, j] += (xc[:, :, hs, ws].reshape(c, -1) @ g_l).T
+            if x.requires_grad:
+                g_c = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, -1)
+                gxc = np.zeros_like(xc)
+                for i, j, hs, ws in taps:
+                    gxc[:, :, hs, ws] += (weight.data[:, :, i, j].T @ g_c).reshape(
+                        c, b_, ho, wo)
+                x.accumulate_grad(gxc[:, :, padding:padding + h,
+                                      padding:padding + w].transpose(1, 0, 2, 3))
             if bias.requires_grad:
                 bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         out._backward = backward

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 
@@ -22,10 +23,17 @@ class TruncatedError(FormatError):
 
 
 def read_exact(f, n, what):
-    data = f.read(n)
+    """Read ``n`` bytes of ``what`` from the file ``f``.
+
+    A size beyond the end of the file raises :class:`TruncatedError`
+    before anything is read, so a corrupt size field cannot make the
+    reader allocate it.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    data = f.read(n) if n <= left else b""
     if len(data) != n:
         raise TruncatedError(f"file truncated while reading {what} "
-                             f"(wanted {n} bytes, got {len(data)})")
+                             f"(wanted {n} bytes, {max(left, 0)} left)")
     return data
 
 

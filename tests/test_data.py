@@ -205,6 +205,17 @@ class TestDatasetIO:
         with pytest.raises(TruncatedError):
             data.read_dataset(path)
 
+    def test_huge_declared_clip_size_names_the_field(self, tmp_path):
+        # 65535 frames of 65535x65535 pixels declare ~8e14 bytes; the reader
+        # must refuse before allocating them.
+        path = tmp_path / "ds.stvd"
+        data.write_dataset([gray_clip(2)], path)
+        raw = bytearray(path.read_bytes())
+        raw[16:22] = b"\xff" * 6          # frame count, height and width of clip 0
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TruncatedError, match="pixels of clip 0"):
+            data.read_dataset(path)
+
     def test_split_is_stratified_and_disjoint(self):
         cfg = data.SynthConfig(clips_per_class=8, seed=2)
         clips = data.gen_synthetic(cfg)

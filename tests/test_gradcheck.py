@@ -80,6 +80,25 @@ def test_op_gradients(op_name):
     assert worst < TOL, f"{op_name}: max relative error {worst:.3e}"
 
 
+# Fixed shapes for the conv geometries that the random draws of
+# ``_check_conv2d`` (kernel <= 3, padding <= 2) never reach: the 7x7/2
+# stem with padding 3 of the ResNet presets and the 1x1/2 downsample
+# shortcut.
+CONV2D_GEOMETRIES = {
+    "stem_7x7_s2_p3": ((1, 2, 9, 9), (3, 2, 7, 7), 2, 3),
+    "downsample_1x1_s2_p0": ((2, 3, 5, 5), (4, 3, 1, 1), 2, 0),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(CONV2D_GEOMETRIES))
+def test_conv2d_fixed_geometry_gradients(geometry):
+    x_shape, w_shape, stride, padding = CONV2D_GEOMETRIES[geometry]
+    rng = np.random.default_rng(11)
+    inputs = [_t(rng, x_shape), _t(rng, w_shape), _t(rng, w_shape[:1])]
+    worst = grad_check(lambda *a: ops.conv2d(*a, stride=stride, padding=padding), inputs)
+    assert worst < TOL, f"conv2d {geometry}: max relative error {worst:.3e}"
+
+
 def test_relu_away_from_zero_is_nearly_exact():
     x = Tensor(np.array([2.0, -3.0, 0.5]), requires_grad=True, dtype=np.float64)
     assert grad_check(ops.relu, [x]) < 1e-8

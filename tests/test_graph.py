@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stnet import arch, checkpoint, model, ops
+from stnet import arch, checkpoint, model, ops, serial
 from stnet.checkpoint import ParamMismatchError
 from stnet.serial import MagicError, TruncatedError, VersionError
 from stnet.tensor import Tensor
@@ -275,6 +275,43 @@ class TestCheckpoint:
         bad.write_bytes(bytes(raw))
         with pytest.raises(VersionError):
             checkpoint.load_checkpoint(bad, spec)
+
+    @pytest.mark.parametrize("name", ["stage0/conv/w", "stage9/conv/w"])
+    def test_huge_declared_extents_name_the_tensor(self, tmp_path, name):
+        # Rank 3 with every extent 0xFFFFFFFF: the name and shape are checked
+        # before the values are read, so nothing of that size is allocated.
+        path = tmp_path / "huge.stnc"
+        with open(path, "wb") as f:
+            f.write(checkpoint.MAGIC)
+            serial.write_u32(f, checkpoint.VERSION)
+            serial.write_u32(f, 1)
+            serial.write_u16(f, len(name))
+            f.write(name.encode())
+            serial.write_u8(f, 3)
+            for _ in range(3):
+                serial.write_u32(f, 0xFFFFFFFF)
+        with pytest.raises(serial.FormatError, match=name):
+            checkpoint.load_checkpoint(path, tiny_spec())
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        spec = tiny_spec()
+        path = tmp_path / "model.stnc"
+        checkpoint.save_checkpoint(model.build_model(spec, seed=0), path)
+        before = path.read_bytes()
+        write_u32 = serial.write_u32
+        calls = []
+
+        def failing_write_u32(f, v):
+            calls.append(v)
+            if len(calls) > 6:
+                raise OSError("disk full")
+            write_u32(f, v)
+
+        monkeypatch.setattr(serial, "write_u32", failing_write_u32)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.save_checkpoint(model.build_model(spec, seed=1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.stnc"]
 
     def test_class_count_mismatch_names_parameter(self, tmp_path):
         spec = tiny_spec()
