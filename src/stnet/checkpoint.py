@@ -65,9 +65,14 @@ def load_checkpoint(path, spec):
         serial.expect_magic(f, MAGIC)
         serial.expect_version(f, VERSION)
         count = serial.read_u32(f, "tensor count")
-        for _ in range(count):
+        for i in range(count):
             name_len = serial.read_u16(f, "name length")
-            name = serial.read_exact(f, name_len, "tensor name").decode("utf-8")
+            raw_name = serial.read_exact(f, name_len, "tensor name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParamMismatchError(
+                    f"name of tensor {i} is not UTF-8: {raw_name!r}") from None
             rank = serial.read_u8(f, f"rank of {name!r}")
             shape = tuple(serial.read_u32(f, f"extent of {name!r}") for _ in range(rank))
             if name in loaded:

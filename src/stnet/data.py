@@ -253,6 +253,9 @@ def read_dataset(path):
             fr = serial.read_u16(f, f"frame count of clip {i}")
             h = serial.read_u16(f, f"height of clip {i}")
             w = serial.read_u16(f, f"width of clip {i}")
+            if not fr * h * w:
+                raise serial.FormatError(
+                    f"clip {i} is empty: {fr} frames of {h}x{w}")
             raw = serial.read_exact(f, fr * h * w * 3, f"pixels of clip {i}")
             frames = np.frombuffer(raw, dtype=np.uint8).reshape(fr, h, w, 3)
             clips.append(VideoClip(frames=frames.transpose(0, 3, 1, 2).copy(),

@@ -86,11 +86,14 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad=None):
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, then release the graph.
 
         ``grad`` defaults to ones (the usual case for a scalar loss).
         Each op node is visited exactly once, in reverse topological
-        order.
+        order. Once a node's closure has run, its ``grad``, ``_backward``
+        and ``_prev`` are dropped, so each saved activation is freed at
+        its last use; leaf grads are kept. A second ``backward`` through
+        a released node raises ``RuntimeError``.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -99,7 +102,6 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise ValueError(
                     f"backward seed shape {grad.shape} != tensor shape {self.data.shape}")
-        self.accumulate_grad(grad)
 
         order = []
         seen = set()
@@ -111,15 +113,25 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node.requires_grad and node.op != "leaf" and not node._prev:
+                raise RuntimeError(
+                    f"backward through a released graph: the '{node.op}' node was "
+                    "already backpropagated and its graph freed")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._prev:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        for node in reversed(order):
+        self.accumulate_grad(grad)
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+            if node.op != "leaf":
+                node.grad = None
+                node._backward = None
+                node._prev = ()
 
     # Shape plumbing used by the graph executor; differentiable.
 

@@ -169,23 +169,26 @@ def train(model, clips, cfg, log=None):
 
 
 def evaluate(model, clips, batch_size=32):
-    """Center-sampled inference metrics over a clip list."""
+    """Center-sampled inference metrics over a clip list.
+
+    The forward runs in infer mode on detached views of the model's
+    parameters (same buffers, no ``requires_grad``), so it builds no
+    autograd graph and leaves ``model`` untouched.
+    """
     if not clips:
         raise ValueError("evaluation dataset is empty")
-    mode = model.mode
-    model.set_mode("infer")
+    frozen = model_mod.ModelInstance(
+        spec=model.spec, params={k: t.detach() for k, t in model.params.items()},
+        mode="infer")
     sampler = data_mod.SamplerConfig(t=model.spec.t, n=model.spec.n, train=False)
     k = model.spec.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
-    try:
-        for lo in range(0, len(clips), batch_size):
-            batch_clips = clips[lo:lo + batch_size]
-            arr, labels = data_mod.make_batch(batch_clips, sampler)
-            logits = model_mod.forward(model, Tensor(arr))
-            pred = logits.data.argmax(axis=1)
-            np.add.at(confusion, (labels, pred), 1)
-    finally:
-        model.set_mode(mode)
+    for lo in range(0, len(clips), batch_size):
+        batch_clips = clips[lo:lo + batch_size]
+        arr, labels = data_mod.make_batch(batch_clips, sampler)
+        logits = model_mod.forward(frozen, Tensor(arr))
+        pred = logits.data.argmax(axis=1)
+        np.add.at(confusion, (labels, pred), 1)
     return Metrics(confusion=confusion)
 
 

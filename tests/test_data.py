@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stnet import data
-from stnet.serial import MagicError, TruncatedError, VersionError
+from stnet.serial import FormatError, MagicError, TruncatedError, VersionError
 
 
 def clip_of(frames, label=0, clip_id=0):
@@ -215,6 +215,18 @@ class TestDatasetIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(TruncatedError, match="pixels of clip 0"):
             data.read_dataset(path)
+
+    @pytest.mark.parametrize("field", [0, 1, 2])      # frame count, height, width
+    def test_zero_extent_names_the_clip(self, tmp_path, field):
+        path = tmp_path / "ds.stvd"
+        data.write_dataset([gray_clip(2), gray_clip(3)], path)
+        raw = bytearray(path.read_bytes())
+        at = 12 + 10 + 2 * 6 * 6 * 3 + 4 + 2 * field     # clip 1's extents
+        raw[at:at + 2] = b"\x00\x00"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="clip 1") as info:
+            data.read_dataset(path)
+        assert not isinstance(info.value, TruncatedError)
 
     def test_split_is_stratified_and_disjoint(self):
         cfg = data.SynthConfig(clips_per_class=8, seed=2)

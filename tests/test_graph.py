@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stnet import arch, checkpoint, model, ops, serial
+from stnet import arch, checkpoint, data, model, ops, serial, training
 from stnet.checkpoint import ParamMismatchError
 from stnet.serial import MagicError, TruncatedError, VersionError
 from stnet.tensor import Tensor
@@ -313,6 +313,20 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.stnc"]
 
+    def test_non_utf8_name_names_the_tensor(self, tmp_path):
+        # 17 bytes: one rank-0 tensor whose 2-byte name is not UTF-8.
+        path = tmp_path / "bad-name.stnc"
+        with open(path, "wb") as f:
+            f.write(checkpoint.MAGIC)
+            serial.write_u32(f, checkpoint.VERSION)
+            serial.write_u32(f, 1)
+            serial.write_u16(f, 2)
+            f.write(b"\xff\xfe")
+            serial.write_u8(f, 0)
+        assert path.stat().st_size == 17
+        with pytest.raises(serial.FormatError, match="tensor 0"):
+            checkpoint.load_checkpoint(path, tiny_spec())
+
     def test_class_count_mismatch_names_parameter(self, tmp_path):
         spec = tiny_spec()
         path = tmp_path / "model.stnc"
@@ -404,3 +418,110 @@ class TestMoreEdgeCases:
         for i in range(4):
             single = model.forward(m, Tensor(batch.data[i:i + 1])).data
             assert np.abs(single - joint[i:i + 1]).max() < 1e-6
+
+
+def _graph_nodes(root):
+    """Every tensor reachable from ``root`` through ``_prev``, root included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._prev:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def _replay_backward(root):
+    """Reverse-topological closure replay that releases nothing."""
+    root.accumulate_grad(np.ones_like(root.data))
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._prev:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def toy_clips(count, seed):
+    return data.gen_synthetic(data.SynthConfig(clips_per_class=-(-count // 6),
+                                               seed=seed))[:count]
+
+
+def toy_loss(m, clips, seed):
+    sampler = data.SamplerConfig(t=m.spec.t, n=m.spec.n, train=True)
+    arr, labels = data.make_batch(clips, sampler, seed=seed)
+    return ops.softmax_cross_entropy(model.forward(m, Tensor(arr)), labels)
+
+
+class TestGraphRelease:
+    def test_evaluate_builds_no_graph_and_matches_graph_forward(self, monkeypatch):
+        m = model.build_model(toy_spec(), seed=31)
+        clips = toy_clips(12, seed=31)
+        training.train(m, clips[:4], training.TrainConfig(epochs=1, batch_size=4,
+                                                          lr=0.02, seed=31))
+        returned = []
+        forward = model.forward
+
+        def recording_forward(inst, batch):
+            out = forward(inst, batch)
+            returned.append(out)
+            return out
+        monkeypatch.setattr(model, "forward", recording_forward)
+        metrics = training.evaluate(m, clips, batch_size=5)
+        monkeypatch.undo()
+
+        assert m.mode == "train"
+        assert len(returned) == 3 and all(out._prev == () for out in returned)
+        sampler = data.SamplerConfig(t=m.spec.t, n=m.spec.n, train=False)
+        confusion = np.zeros_like(metrics.confusion)
+        m.set_mode("infer")
+        for lo, got in zip(range(0, len(clips), 5), returned):
+            arr, labels = data.make_batch(clips[lo:lo + 5], sampler)
+            want = model.forward(m, Tensor(arr))
+            assert want._prev                      # the reference builds a graph
+            assert got.data.tobytes() == want.data.tobytes()
+            np.add.at(confusion, (labels, want.data.argmax(axis=1)), 1)
+        assert metrics.confusion.tobytes() == confusion.tobytes()
+
+    def test_backward_releases_every_op_node(self):
+        m = model.build_model(toy_spec(), seed=32)
+        loss = toy_loss(m, toy_clips(4, seed=32), seed=32)
+        nodes = [t for t in _graph_nodes(loss) if t.op != "leaf"]
+        assert len(nodes) > 50
+        loss.backward()
+        for t in nodes:
+            assert t.grad is None and t._backward is None and t._prev == (), t.op
+        for name, t in m.trainable():
+            assert t.grad is not None, name
+
+    def test_leaf_grads_match_unreleased_replay(self):
+        m = model.build_model(toy_spec(), seed=33)
+        clips = toy_clips(4, seed=33)
+        toy_loss(m, clips, seed=33).backward()
+        released = {name: t.grad for name, t in m.trainable()}
+        for _, t in m.trainable():
+            t.zero_grad()
+        _replay_backward(toy_loss(m, clips, seed=33))
+        for name, t in m.trainable():
+            assert t.grad.tobytes() == released[name].tobytes(), name
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True, dtype=np.float64)
+        y = ops.relu(x)
+        y.backward(np.ones(3))
+        before = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already"):
+            y.backward(np.ones(3))
+        with pytest.raises(RuntimeError, match="already"):
+            (y + y).backward(np.ones(3))
+        assert np.array_equal(x.grad, before)
