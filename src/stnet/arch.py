@@ -71,13 +71,6 @@ class ArchSpec:
             return "avg_score"
         return self.head
 
-    def feature_channels(self):
-        """Channel count of the per-snippet descriptor entering the head."""
-        return self.stages[-1].channels if self.stages else self.feature_dim
-
-    def txb(self):
-        return TxbSpec(self.feature_channels(), self.txb_channels, self.num_classes)
-
 
 def validate(spec):
     """Raise :class:`SpecError` (naming the field) if the spec is invalid."""

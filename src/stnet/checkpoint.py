@@ -4,6 +4,10 @@ Format: magic ``STNC``, version u32, tensor count u32, then per tensor:
 name length u16 + UTF-8 name, rank u8, extents as u32 each, raw
 little-endian float32 values. Loading validates the name/shape set
 against the spec and is bit-exact for float32 models.
+
+Version 2 is written. Version 1 also gave each conv and TM conv a bias
+b and stored TM weights as [C, C, 3, 1, 1]; it loads with b folded into
+the running mean of the batch norm that follows (``m' = m - b``).
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ import os
 import numpy as np
 
 from . import serial
-from .model import ModelInstance, RUNNING_STAT_SUFFIXES, parameter_shapes
+from .model import ModelInstance, RUNNING_STAT_SUFFIXES, layer_plans, parameter_shapes
 from .tensor import Tensor
 
 MAGIC = b"STNC"
-VERSION = 1
+VERSION = 2
 
 
 class ParamMismatchError(serial.FormatError):
@@ -59,11 +63,19 @@ def load_checkpoint(path, spec):
     parameter when names or shapes disagree, and the usual format errors
     for bad magic/version/truncation. No partial model is returned.
     """
-    expected = parameter_shapes(spec)
-    loaded = {}
+    plans = layer_plans(spec)
     with open(path, "rb") as f:
         serial.expect_magic(f, MAGIC)
-        serial.expect_version(f, VERSION)
+        version = serial.expect_version(f, (1, VERSION))
+        # A version-1 conv has a bias; the next plan, its batch norm, absorbs it.
+        biased = [(p, bn) for p, bn in zip(plans, plans[1:])
+                  if version == 1 and p.kind in ("conv2d", "conv3d")]
+        expected = parameter_shapes(spec)
+        for p, _ in biased:
+            expected[f"{p.name}/b"] = p.params["w"][:1]
+            if p.kind == "conv3d":
+                expected[f"{p.name}/w"] += (1, 1)
+        loaded = {}
         count = serial.read_u32(f, "tensor count")
         for i in range(count):
             name_len = serial.read_u16(f, "name length")
@@ -89,7 +101,12 @@ def load_checkpoint(path, spec):
     missing = sorted(set(expected) - set(loaded))
     if missing:
         raise ParamMismatchError(f"checkpoint is missing tensor {missing[0]!r}")
-    params = {name: Tensor(loaded[name],
+    for p, bn in biased:
+        loaded[f"{bn.name}/mean"] -= loaded.pop(f"{p.name}/b")
+    for name, values in loaded.items():
+        if not np.isfinite(values).all():
+            raise serial.FormatError(f"tensor {name!r} has non-finite values")
+    params = {name: Tensor(loaded[name].reshape(shape),
                            requires_grad=name.rsplit("/", 1)[1] not in RUNNING_STAT_SUFFIXES)
-              for name in expected}
+              for name, shape in parameter_shapes(spec).items()}
     return ModelInstance(spec=spec, params=params)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import layer_plans
+from .model import RUNNING_STAT_SUFFIXES, layer_plans
 
 CONVENTION = "multiplications per MAC; BN/activation/pooling free"
 
@@ -47,10 +47,8 @@ def analyze(spec):
     """Per-layer and total parameter/multiplication counts for ``spec``."""
     rows = []
     for plan in layer_plans(spec):
-        if plan.kind == "bn":
-            params = _size(plan.params["alpha"]) + _size(plan.params["beta"])
-        else:
-            params = _size(plan.params["w"]) + _size(plan.params["b"])
+        params = sum(_size(shape) for suffix, shape in plan.params.items()
+                     if suffix not in RUNNING_STAT_SUFFIXES)
         rows.append(ReportRow(plan.name, plan.out_shape, params, plan.macs))
     return ComplexityReport(
         spec_name=spec.name, t=spec.t, n=spec.n,

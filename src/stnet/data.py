@@ -246,7 +246,7 @@ def read_dataset(path):
     clips = []
     with open(path, "rb") as f:
         serial.expect_magic(f, MAGIC)
-        serial.expect_version(f, VERSION)
+        serial.expect_version(f, (VERSION,))
         count = serial.read_u32(f, "clip count")
         for i in range(count):
             label = serial.read_u32(f, f"label of clip {i}")

@@ -96,19 +96,19 @@ def _check_conv2d(rng):
     s, p = int(rng.integers(1, 3)), int(rng.integers(0, 3))
     h = int(rng.integers(k, k + 4))
     w = int(rng.integers(k, k + 4))
-    x, wt, bi = _t(rng, (b, c, h, w)), _t(rng, (o, c, k, k)), _t(rng, (o,))
-    return grad_check(lambda *a: ops.conv2d(*a, stride=s, padding=p), [x, wt, bi])
+    x, wt = _t(rng, (b, c, h, w)), _t(rng, (o, c, k, k))
+    return grad_check(lambda *a: ops.conv2d(*a, stride=s, padding=p), [x, wt])
 
 
 def _check_temporal_conv3(rng):
-    # One input of random rank ([T,C], [B,T,C] or [B,T,C,*S]) through both
-    # the dense and the depthwise weight.
+    # One input of random rank ([T,C], [B,T,C] or [B,T,C,*S]) through the dense
+    # weight without a bias, as TM calls it, and the depthwise one with a bias.
     t, c, o = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
     rank = int(rng.integers(2, 6))
     shape = (t, c) if rank == 2 else (int(rng.integers(1, 3)), t, c) + tuple(
         int(rng.integers(1, 4)) for _ in range(rank - 3))
     x = _t(rng, shape)
-    dense = grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3)), _t(rng, (o,))])
+    dense = grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3))])
     depthwise = grad_check(ops.temporal_conv3, [x, _t(rng, (c, 3)), _t(rng, (c,))])
     return max(dense, depthwise)
 

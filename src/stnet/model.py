@@ -36,7 +36,7 @@ def _conv_out(size, kernel, stride, padding):
 
 def _conv2d_plan(name, c_in, c_out, kernel, t, ho, wo):
     return LayerPlan(name, "conv2d",
-                     {"w": (c_out, c_in, kernel, kernel), "b": (c_out,)},
+                     {"w": (c_out, c_in, kernel, kernel)},
                      c_out * c_in * kernel * kernel * ho * wo * t,
                      (t, c_out, ho, wo))
 
@@ -94,7 +94,7 @@ def layer_plans(spec):
             if spec.enable_tm and i in spec.tm_after:
                 plans.append(LayerPlan(
                     f"tm{i}/conv", "conv3d",
-                    {"w": (c, c, 3, 1, 1), "b": (c,)},
+                    {"w": (c, c, 3)},
                     c * c * 3 * h * w * t, (t, c, h, w)))
                 plans.append(_bn_plan(f"tm{i}/bn", c, (t, c, h, w)))
         feat = c
@@ -160,14 +160,13 @@ def inflate_first_conv(weight2d, n):
 def init_tm_block(c_in, c_out=None):
     """Initial parameters for a temporal modeling block.
 
-    Conv weights are the constant 1/(3*C_in) with zero bias, so each
-    output channel starts as the mean of the 3-frame window across
+    The bias-free [C_out, C_in, 3] conv weight is the constant 1/(3*C_in),
+    so each output channel starts as the mean of the 3-frame window across
     channels; the batch norm starts as an identity map.
     """
     c_out = c_in if c_out is None else c_out
     return {
-        "conv/w": np.full((c_out, c_in, 3, 1, 1), 1.0 / (3 * c_in), dtype=np.float32),
-        "conv/b": np.zeros(c_out, dtype=np.float32),
+        "conv/w": np.full((c_out, c_in, 3), 1.0 / (3 * c_in), dtype=np.float32),
         "bn/alpha": np.ones(c_out, dtype=np.float32),
         "bn/beta": np.zeros(c_out, dtype=np.float32),
         "bn/mean": np.zeros(c_out, dtype=np.float32),
@@ -214,36 +213,29 @@ def build_model(spec, seed=0):
 
     Backbone convs are He-initialized (the first one through 3-channel
     inflation), temporal blocks start as window means with identity BN,
-    and all biases start at zero. Deterministic for a given seed.
+    and the head's biases start at zero. Deterministic for a given seed.
     """
     arch.validate(spec)
     rng = np.random.default_rng(seed)
     params = {}
     first_conv = bool(spec.stages)
     for plan in layer_plans(spec):
-        arrays = {}
+        wshape = plan.params.get("w")
         if plan.kind == "bn":
             arrays = _identity_bn(plan.params["alpha"][0])
         elif plan.kind == "conv3d":
-            tm = init_tm_block(plan.params["w"][1], plan.params["w"][0])
-            arrays = {"w": tm["conv/w"], "b": tm["conv/b"]}
-        else:
-            wshape = plan.params["w"]
-            if plan.kind == "conv2d":
-                c_out, c_in, kh, kw = wshape
-                if first_conv:
-                    w3 = _he(rng, (c_out, 3, kh, kw), 3 * kh * kw)
-                    w = inflate_first_conv(w3, spec.n).astype(np.float32)
-                    first_conv = False
-                else:
-                    w = _he(rng, wshape, c_in * kh * kw)
-            elif plan.kind == "cw":
-                w = _he(rng, wshape, 3)
-            elif plan.kind == "conv1d":
-                w = _he(rng, wshape, wshape[1] * 3)
-            else:  # tw, fc
-                w = _he(rng, wshape, wshape[1])
-            arrays = {"w": w, "b": np.zeros(wshape[0], np.float32)}
+            arrays = {"w": init_tm_block(wshape[1], wshape[0])["conv/w"]}
+        elif plan.kind == "conv2d":
+            c_out, c_in, kh, kw = wshape
+            if first_conv:
+                w3 = _he(rng, (c_out, 3, kh, kw), 3 * kh * kw)
+                arrays = {"w": inflate_first_conv(w3, spec.n).astype(np.float32)}
+                first_conv = False
+            else:
+                arrays = {"w": _he(rng, wshape, c_in * kh * kw)}
+        else:  # fan-in: 3 taps for cw, C_in * 3 for conv1d, C_in for tw and fc
+            fan_in = {"cw": 3, "conv1d": wshape[1] * 3}.get(plan.kind, wshape[1])
+            arrays = {"w": _he(rng, wshape, fan_in), "b": np.zeros(wshape[0], np.float32)}
         for suffix, arr in arrays.items():
             params[f"{plan.name}/{suffix}"] = Tensor(
                 arr, requires_grad=suffix not in RUNNING_STAT_SUFFIXES)
@@ -270,8 +262,7 @@ def _run_bn(p, prefix, x, axis, training):
 
 
 def _run_conv_bn(p, prefix_conv, prefix_bn, x, stride, padding, training):
-    x = ops.conv2d(x, p[f"{prefix_conv}/w"], p[f"{prefix_conv}/b"],
-                   stride=stride, padding=padding)
+    x = ops.conv2d(x, p[f"{prefix_conv}/w"], stride=stride, padding=padding)
     return _run_bn(p, prefix_bn, x, 1, training)
 
 
@@ -304,11 +295,9 @@ def _run_stage(p, i, st, x, training):
 
 def _run_tm(p, i, x, b, t, training):
     bt, c, h, w = x.shape
-    # The (3,1,1) kernel is a dense 3-tap conv over the snippet axis; H, W ride
+    # The [C, C, 3] weight is a dense 3-tap conv over the snippet axis; H, W ride
     # along. Its output is channel-major in memory, so the final reshape copies.
-    weight = p[f"tm{i}/conv/w"]
-    y = ops.temporal_conv3(x.reshape((b, t, c, h, w)), weight.reshape(weight.shape[:3]),
-                           p[f"tm{i}/conv/b"])
+    y = ops.temporal_conv3(x.reshape((b, t, c, h, w)), p[f"tm{i}/conv/w"])
     y = ops.relu(_run_bn(p, f"tm{i}/bn", y, 2, training))
     return y.reshape((bt, c, h, w))
 

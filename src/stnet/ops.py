@@ -24,10 +24,11 @@ def _require(cond, msg):
 # Convolutions and affine maps
 # ---------------------------------------------------------------------------
 
-def conv2d(x, weight, bias, stride=1, padding=0):
+def conv2d(x, weight, stride=1, padding=0):
     """Strided 2D cross-correlation: [B,C,H,W] -> [B,O,H',W'].
 
-    H' = floor((H + 2*padding - kh) / stride) + 1, likewise W'.
+    H' = floor((H + 2*padding - kh) / stride) + 1, likewise W'. There is no
+    bias: every conv of the network feeds a batch norm, which cancels it.
 
     One matrix product per kernel tap (i, j), with no im2col copy. The
     padded input is held channel-major, [C, B, H+2p, W+2p], so that each
@@ -51,7 +52,6 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     b_, c, h, w = x.shape
     o, ci, kh, kw = weight.shape
     _require(ci == c, f"conv2d channel mismatch: input has {c}, weight expects {ci}")
-    _require(bias.shape == (o,), f"conv2d bias must have shape ({o},), got {bias.shape}")
     _require(stride >= 1 and padding >= 0, "conv2d stride must be >=1 and padding >=0")
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
@@ -70,11 +70,9 @@ def conv2d(x, weight, bias, stride=1, padding=0):
         yc += weight.data[:, :, i, j] @ xc[:, :, hs, ws].reshape(c, -1)
     # A C-ordered [B,O,H',W'] output: reductions downstream (batch norm)
     # sum in memory order, so the layout fixes their rounding.
-    y = np.empty((b_, o, ho, wo), dtype=yc.dtype)
-    np.add(yc.reshape(o, b_, ho, wo).transpose(1, 0, 2, 3),
-           bias.data[None, :, None, None], out=y)
+    y = np.ascontiguousarray(yc.reshape(o, b_, ho, wo).transpose(1, 0, 2, 3))
 
-    out = make_node(y, (x, weight, bias), "conv2d")
+    out = make_node(y, (x, weight), "conv2d")
     if out._prev:
         def backward(g):
             if weight.requires_grad:
@@ -91,13 +89,11 @@ def conv2d(x, weight, bias, stride=1, padding=0):
                         c, b_, ho, wo)
                 x.accumulate_grad(gxc[:, :, padding:padding + h,
                                       padding:padding + w].transpose(1, 0, 2, 3))
-            if bias.requires_grad:
-                bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         out._backward = backward
     return out
 
 
-def temporal_conv3(x, weight, bias):
+def temporal_conv3(x, weight, bias=None):
     """3-tap convolution over time with zero padding 1, so T is preserved.
 
     ``x`` is [T,C], [B,T,C] or [B,T,C,*S]: time is the axis before the
@@ -107,7 +103,8 @@ def temporal_conv3(x, weight, bias):
 
         y[b,t,o,s] = sum_k sum_c x[b,t+k-1,c,s] * weight[o,c,k] + bias[o]
 
-    with rows outside [0, T) contributing zero.
+    with rows outside [0, T) contributing zero. ``bias=None`` adds none
+    (the temporal-modeling conv, which feeds a batch norm).
     """
     _require(x.ndim >= 2, f"temporal_conv3 expects [T,C] or [B,T,C,*S], got {x.shape}")
     squeeze = x.ndim == 2
@@ -124,7 +121,7 @@ def temporal_conv3(x, weight, bias):
                  f"got {weight.shape}")
         wsub, ysub = "oc", "bto..."
     co = weight.shape[0]
-    _require(bias.shape == (co,), f"temporal_conv3 bias must have shape ({co},)")
+    _require(bias is None or bias.shape == (co,), f"temporal_conv3 bias must have shape ({co},)")
     _require(t >= 1, "temporal_conv3 requires T >= 1")
 
     pad = [(0, 0)] * xd.ndim
@@ -143,11 +140,12 @@ def temporal_conv3(x, weight, bias):
     for k in range(3):
         y += np.einsum(f"btc...,{wsub}->{ysub}", xp[:, k:k + t], weight.data[..., k],
                        optimize=True)
-    y += bias.data.reshape((co,) + (1,) * (xd.ndim - 3))
+    if bias is not None:
+        y += bias.data.reshape((co,) + (1,) * (xd.ndim - 3))
     if squeeze:
         y = y[0]
 
-    out = make_node(y, (x, weight, bias), "temporal_conv3")
+    out = make_node(y, (x, weight) if bias is None else (x, weight, bias), "temporal_conv3")
     if out._prev:
         def backward(g):
             gb = g[None] if squeeze else g
@@ -162,7 +160,7 @@ def temporal_conv3(x, weight, bias):
                                                  weight.data[..., k], optimize=True)
                 gx = gxp[:, 1:t + 1]
                 x.accumulate_grad(gx[0] if squeeze else gx)
-            if bias.requires_grad:
+            if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(gb.sum(axis=(0, 1) + tuple(range(3, gb.ndim))))
         out._backward = backward
     return out

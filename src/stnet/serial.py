@@ -44,8 +44,9 @@ def expect_magic(f, magic):
 
 
 def expect_version(f, supported):
+    """Read a u32 format version; it must be one of the tuple ``supported``."""
     v = read_u32(f, "format version")
-    if v != supported:
+    if v not in supported:
         raise VersionError(f"unsupported format version {v} (supported: {supported})")
     return v
 

@@ -86,9 +86,6 @@ class TrainHistory:
     def final_loss(self):
         return self.losses[-1][1] if self.losses else float("nan")
 
-    def to_csv(self):
-        return "step,loss\n" + "".join(f"{s},{v:.6f}\n" for s, v in self.losses)
-
 
 class SGD:
     """Momentum SGD with L2 weight decay.
@@ -238,7 +235,7 @@ def run_ablation(train_clips, eval_clips, base_spec, cfg, log=None):
     return results
 
 
-def ablation_table(results, class_names=None):
+def ablation_table(results):
     """Plain-text table shaped like the component-toggle comparison."""
     lines = ["superimage  tm   txb  top1    mean_class",
              "----------  ---  ---  ------  ----------"]
@@ -258,11 +255,10 @@ def ablation_json(results):
                         **r["metrics"].to_dict()} for r in results], indent=2)
 
 
-def metrics_table(metrics, class_names=None):
-    names = class_names or [f"class {i}" for i in range(len(metrics.per_class))]
+def metrics_table(metrics):
     lines = [f"top-1 accuracy:        {metrics.top1:.4f}",
              f"mean class accuracy:   {metrics.mean_class_accuracy:.4f}",
              "per-class accuracy:"]
-    for name, acc in zip(names, metrics.per_class):
-        lines.append(f"  {name:<14} {acc:.4f}")
+    for i, acc in enumerate(metrics.per_class):
+        lines.append(f"  {f'class {i}':<14} {acc:.4f}")
     return "\n".join(lines)

@@ -7,7 +7,7 @@ scalars, deliberately independent of the vectorized op implementations.
 import numpy as np
 
 
-def conv2d_ref(x, w, b, stride=1, padding=0):
+def conv2d_ref(x, w, stride=1, padding=0):
     bs, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     ho = (h + 2 * padding - kh) // stride + 1
@@ -17,7 +17,7 @@ def conv2d_ref(x, w, b, stride=1, padding=0):
         for oi in range(o):
             for i in range(ho):
                 for j in range(wo):
-                    acc = b[oi]
+                    acc = 0.0
                     for ci in range(c):
                         for u in range(kh):
                             for v in range(kw):

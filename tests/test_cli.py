@@ -67,7 +67,7 @@ class TestDescribe:
         code, out, _ = run_cli(capsys, "describe", "--spec", "stnet-resnet50",
                                "--t", "25", "--n", "5", "--res", "256")
         assert code == 0
-        assert "33,181,328" in out
+        assert "33,153,232" in out
 
     def test_json_matches_table_numbers(self, capsys):
         code, out, _ = run_cli(capsys, "describe", "--spec", "stnet-toy", "--json")

@@ -15,8 +15,8 @@ from stnet import ops
 from stnet.tensor import Tensor
 
 
-def einsum_conv2d(x, weight, bias, stride, padding, g, x_grad=True, weight_grad=True):
-    """Per-tap einsum conv2d: (y, gx, gw, gb) for upstream gradient ``g``."""
+def einsum_conv2d(x, weight, stride, padding, g, x_grad=True, weight_grad=True):
+    """Per-tap einsum conv2d: (y, gx, gw) for upstream gradient ``g``."""
     b_, c, h, w = x.shape
     o, _, kh, kw = weight.shape
     ho = (h + 2 * padding - kh) // stride + 1
@@ -35,9 +35,8 @@ def einsum_conv2d(x, weight, bias, stride, padding, g, x_grad=True, weight_grad=
                 gw[:, :, i, j] += np.einsum("bohw,bchw->oc", g, xp[sl], optimize=True)
             if x_grad:
                 gxp[sl] += np.einsum("bohw,oc->bchw", g, weight[:, :, i, j], optimize=True)
-    y += bias[None, :, None, None]
     gx = gxp[:, :, padding:padding + h, padding:padding + w] if x_grad else None
-    return y, gx, gw, g.sum(axis=(0, 2, 3))
+    return y, gx, gw
 
 
 # (batch, in channels, height, width, out channels, kernel, stride, padding).
@@ -73,19 +72,18 @@ def test_conv2d_bit_identical_to_einsum_reference(geometry, which):
     rng = np.random.default_rng(sorted(GEOMETRIES).index(geometry))
     x = rng.standard_normal((b_, c, h, w)).astype(np.float32)
     wt = (rng.standard_normal((o, c, k, k)) / np.sqrt(c * k * k)).astype(np.float32)
-    bi = rng.standard_normal(o).astype(np.float32)
+    rng.standard_normal(o)  # the draw of a conv bias: g stays as it was
     ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
     g = rng.standard_normal((b_, o, ho, wo)).astype(np.float32)
 
     xt = Tensor(x, requires_grad=x_grad)
     wtt = Tensor(wt, requires_grad=weight_grad)
-    bt = Tensor(bi, requires_grad=True)
-    y = ops.conv2d(xt, wtt, bt, stride=s, padding=p)
+    y = ops.conv2d(xt, wtt, stride=s, padding=p)
     y.backward(g)
-    want = einsum_conv2d(x, wt, bi, s, p, g, x_grad=x_grad, weight_grad=weight_grad)
+    want = einsum_conv2d(x, wt, s, p, g, x_grad=x_grad, weight_grad=weight_grad)
 
-    for name, got, ref in zip(("y", "x.grad", "weight.grad", "bias.grad"),
-                              (y.data, xt.grad, wtt.grad, bt.grad), want):
+    for name, got, ref in zip(("y", "x.grad", "weight.grad"),
+                              (y.data, xt.grad, wtt.grad), want):
         if ref is None:
             assert got is None, name
             continue

@@ -24,10 +24,10 @@ def _seq_shape(rng, c):
 
 
 def _case_conv3d_t311(rng):
-    # TM block: dense [O,C,3] weight on [B,T,C,H,W].
+    # TM block: dense [O,C,3] weight, no bias, on [B,T,C,H,W].
     b, t, c, o = _dim(rng, 1, 3), _dim(rng, 1, 5), _dim(rng, 1, 4), _dim(rng, 1, 4)
     x = _t(rng, (b, t, c, _dim(rng, 1, 4), _dim(rng, 1, 4)))
-    return grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3)), _t(rng, (o,))])
+    return grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3))])
 
 
 def _case_conv1d_channelwise(rng):
@@ -94,7 +94,7 @@ CONV2D_GEOMETRIES = {
 def test_conv2d_fixed_geometry_gradients(geometry):
     x_shape, w_shape, stride, padding = CONV2D_GEOMETRIES[geometry]
     rng = np.random.default_rng(11)
-    inputs = [_t(rng, x_shape), _t(rng, w_shape), _t(rng, w_shape[:1])]
+    inputs = [_t(rng, x_shape), _t(rng, w_shape)]
     worst = grad_check(lambda *a: ops.conv2d(*a, stride=stride, padding=padding), inputs)
     assert worst < TOL, f"conv2d {geometry}: max relative error {worst:.3e}"
 

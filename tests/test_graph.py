@@ -32,6 +32,49 @@ def batch_for(spec, b=2, seed=0):
         (b, spec.t, spec.input_channels, spec.height, spec.width)).astype(np.float32))
 
 
+def write_v1_checkpoint(m, path, rng):
+    """Write ``m`` as a version-1 STNC file; returns the biases it gave.
+
+    Version 1 gave every conv and TM conv a bias and stored the TM weight
+    as [C, C, 3, 1, 1]. Each bias b is drawn as 0.1*N(0,1) from ``rng``
+    and the mean of the batch norm that follows is stored as m + b, so
+    the file describes the same function as ``m``.
+    """
+    plans = model.layer_plans(m.spec)
+    tensors, biases = {}, {}
+    for plan in plans:
+        for suffix in plan.params:
+            tensors[f"{plan.name}/{suffix}"] = m.params[f"{plan.name}/{suffix}"].data
+        if plan.kind in ("conv2d", "conv3d"):
+            w = tensors[f"{plan.name}/w"]
+            tensors[f"{plan.name}/w"] = w.reshape(w.shape[:3] + (1, 1)) if w.ndim == 3 else w
+            b = (0.1 * rng.standard_normal(w.shape[0])).astype(np.float32)
+            tensors[f"{plan.name}/b"] = biases[plan.name] = b
+    for plan, bn in zip(plans, plans[1:]):
+        if plan.name in biases:
+            tensors[f"{bn.name}/mean"] = tensors[f"{bn.name}/mean"] + biases[plan.name]
+    with open(path, "wb") as f:
+        f.write(checkpoint.MAGIC)
+        serial.write_u32(f, 1)
+        serial.write_u32(f, len(tensors))
+        for name, arr in tensors.items():
+            serial.write_u16(f, len(name.encode()))
+            f.write(name.encode())
+            serial.write_u8(f, arr.ndim)
+            for d in arr.shape:
+                serial.write_u32(f, d)
+            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    return biases
+
+
+FRESH_TOY_LOGITS = (
+    ("-0x1.834bcep+0", "0x1.2f72cp-4", "-0x1.e836dcp+1", "-0x1.accf1p-2", "0x1.2892b8p+0",
+     "-0x1.2af6c4p-1"),
+    ("-0x1.8e830cp+0", "0x1.364a1p-4", "-0x1.f6dee4p+1", "-0x1.ba073p-2", "0x1.31adcp+0",
+     "-0x1.3496f8p-1"),
+)
+
+
 class TestBuild:
     def test_toy_builds_and_runs(self):
         m = model.build_model(toy_spec(), seed=0)
@@ -59,7 +102,28 @@ class TestBuild:
         running = sum(int(np.prod(s)) for n, s in shapes.items()
                       if n.endswith(("/mean", "/var")))
         total = sum(int(np.prod(s)) for s in shapes.values())
-        assert total - running == 33_181_328
+        assert total - running == 33_153_232
+
+    def test_convs_have_no_bias_and_feed_a_batch_norm(self):
+        # The version-1 checkpoint fold relies on each conv's norm coming next.
+        for preset in arch.PRESETS:
+            plans = model.layer_plans(arch.load_preset(preset))
+            for plan, following in zip(plans, plans[1:] + [None]):
+                if plan.kind in ("conv2d", "conv3d"):
+                    assert set(plan.params) == {"w"}, plan.name
+                    assert following is not None and following.kind == "bn", plan.name
+                    assert following.params["alpha"] == plan.params["w"][:1], plan.name
+
+    def test_fresh_toy_logits_are_pinned(self):
+        # Infer logits of a freshly built stnet-toy (float32, OpenBLAS on
+        # x86-64), recorded while every conv still carried a bias. Those
+        # biases started at 0 and drew nothing from the rng, so dropping
+        # them changes no bit of a fresh model's output.
+        m = model.build_model(toy_spec(), seed=0).set_mode("infer")
+        got = model.forward(m, batch_for(m.spec, b=2, seed=0)).data
+        want = np.array([[float.fromhex(v) for v in row] for row in FRESH_TOY_LOGITS],
+                        dtype=np.float32)
+        assert np.array_equal(got, want), got
 
     def test_invalid_spec_reports_field(self):
         with pytest.raises(arch.SpecError, match="tm_after"):
@@ -78,12 +142,11 @@ class TestInflation:
         rng = np.random.default_rng(1)
         frame = rng.standard_normal((1, 3, 8, 8))
         w3 = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        b = Tensor(np.zeros(4, dtype=np.float32))
-        want = ops.conv2d(Tensor(frame.astype(np.float32)), Tensor(w3), b, padding=1)
+        want = ops.conv2d(Tensor(frame.astype(np.float32)), Tensor(w3), padding=1)
         for n in (1, 3, 5):
             stacked = Tensor(np.tile(frame, (1, n, 1, 1)).astype(np.float32))
             wn = Tensor(model.inflate_first_conv(w3, n).astype(np.float32))
-            got = ops.conv2d(stacked, wn, b, padding=1)
+            got = ops.conv2d(stacked, wn, padding=1)
             assert np.abs(got.data - want.data).max() < 1e-5
 
     def test_channel_sum_preserved(self):
@@ -97,15 +160,14 @@ class TestTmInit:
     def test_weight_value(self):
         p = model.init_tm_block(512)
         assert np.all(p["conv/w"] == np.float32(1.0 / 1536))
-        assert p["conv/w"].shape == (512, 512, 3, 1, 1)
+        assert p["conv/w"].shape == (512, 512, 3)
 
     def test_interior_equals_window_channel_mean(self):
         c, t = 6, 5
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, c, t, 3, 3)).astype(np.float32)
         p = model.init_tm_block(c)
-        y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)),
-                               Tensor(p["conv/w"].reshape(c, c, 3)), Tensor(p["conv/b"]))
+        y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)), Tensor(p["conv/w"]))
         y = ops.batch_norm(y, Tensor(p["bn/alpha"]), Tensor(p["bn/beta"]),
                            Tensor(p["bn/mean"]), Tensor(p["bn/var"]),
                            axis=2, training=False)
@@ -119,8 +181,7 @@ class TestTmInit:
         c, v = 4, 1.25
         x = np.full((1, c, 6, 2, 2), v, dtype=np.float32)
         p = model.init_tm_block(c)
-        y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)),
-                               Tensor(p["conv/w"].reshape(c, c, 3)), Tensor(p["conv/b"]))
+        y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)), Tensor(p["conv/w"]))
         y = y.data.transpose(0, 2, 1, 3, 4)
         assert np.abs(y[:, :, 1:-1] - v).max() < 1e-6
 
@@ -252,6 +313,36 @@ class TestCheckpoint:
             assert np.array_equal(m.params[name].data, loaded.params[name].data)
         got = model.forward(loaded, batch).data
         assert np.array_equal(got, want)
+
+    def test_version1_file_folds_biases_into_batch_norm_means(self, tmp_path):
+        spec = tiny_spec()
+        m = model.build_model(spec, seed=5)
+        rng = np.random.default_rng(6)
+        for name, t in m.params.items():
+            if name.endswith("/mean"):
+                t.data[...] = 0.1 * rng.standard_normal(t.shape)
+            elif name.endswith("/var"):
+                t.data[...] = rng.uniform(0.5, 2.0, t.shape)
+        path = tmp_path / "v1.stnc"
+        biases = write_v1_checkpoint(m, path, rng)
+        loaded = checkpoint.load_checkpoint(path, spec)
+        assert list(loaded.params) == list(m.params)
+        plans = model.layer_plans(spec)
+        folded = {f"{bn.name}/mean": biases[p.name]
+                  for p, bn in zip(plans, plans[1:]) if p.name in biases}
+        eps = np.finfo(np.float32).eps
+        for name, t in m.params.items():
+            got = loaded.params[name].data
+            assert got.shape == t.shape, name
+            if name in folded:
+                assert np.all(np.abs(got - t.data)
+                              <= eps * (np.abs(t.data) + np.abs(folded[name]))), name
+            else:
+                assert np.array_equal(got, t.data), name
+        batch = batch_for(spec, seed=7)
+        want = model.forward(m.set_mode("infer"), batch).data
+        got = model.forward(loaded.set_mode("infer"), batch).data
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
     def test_truncated_file(self, tmp_path):
         spec = tiny_spec()
