@@ -142,22 +142,32 @@ _SCALAR_KEYS = {
     "name": str, "t": int, "n": int, "height": int, "width": int,
     "num_classes": int, "head": str, "txb_channels": int, "feature_dim": int,
     "enable_superimage": bool, "enable_tm": bool, "enable_txb": bool,
+    "tm_after": (int,),
 }
 _STAGE_KEYS = {"kind": str, "channels": int, "stride": int, "repeat": int,
                "kernel": int, "pool": bool}
 
 
-def _coerce(key, raw, typ):
+def coerce(key, raw, typ):
+    """``raw`` parsed as ``typ``: bool, int, float or str.
+
+    A one-element tuple type such as ``(int,)`` parses a comma-separated
+    list of that type (empty items are skipped). A malformed value
+    raises SpecError naming ``key``.
+    """
     raw = raw.strip()
+    if isinstance(typ, tuple):
+        return tuple(coerce(key, s, typ[0]) for s in raw.split(",") if s.strip())
     if typ is bool:
         if raw.lower() not in _BOOLS:
             raise SpecError(f"{key}: expected a boolean, got {raw!r}")
         return _BOOLS[raw.lower()]
-    if typ is int:
+    if typ in (int, float):
         try:
-            return int(raw)
+            return typ(raw)
         except ValueError:
-            raise SpecError(f"{key}: expected an integer, got {raw!r}") from None
+            kind = "an integer" if typ is int else "a number"
+            raise SpecError(f"{key}: expected {kind}, got {raw!r}") from None
     return raw
 
 
@@ -183,13 +193,9 @@ def parse_arch(text, name_hint=""):
     """Parse the flat key=value format into a validated ArchSpec."""
     scalars = {}
     stage_fields = {}
-    tm_after = None
     for key, raw in read_kv_lines(text):
-        if key == "tm_after":
-            raw = raw.strip()
-            tm_after = tuple(int(s) for s in raw.split(",") if s.strip()) if raw else ()
-        elif key in _SCALAR_KEYS:
-            scalars[key] = _coerce(key, raw, _SCALAR_KEYS[key])
+        if key in _SCALAR_KEYS:
+            scalars[key] = coerce(key, raw, _SCALAR_KEYS[key])
         elif key.startswith("stages."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _STAGE_KEYS:
@@ -198,7 +204,7 @@ def parse_arch(text, name_hint=""):
                 idx = int(parts[1])
             except ValueError:
                 raise SpecError(f"{key}: stage index must be an integer") from None
-            stage_fields.setdefault(idx, {})[parts[2]] = _coerce(
+            stage_fields.setdefault(idx, {})[parts[2]] = coerce(
                 key, raw, _STAGE_KEYS[parts[2]])
         else:
             raise SpecError(f"unknown key {key!r}")
@@ -216,9 +222,7 @@ def parse_arch(text, name_hint=""):
         if required not in scalars:
             raise SpecError(f"{required}: missing")
     scalars.setdefault("name", name_hint)
-    return validate(ArchSpec(stages=tuple(stages),
-                             tm_after=tm_after if tm_after is not None else (),
-                             **scalars))
+    return validate(ArchSpec(stages=tuple(stages), **scalars))
 
 
 def format_arch(spec):

@@ -18,36 +18,30 @@ from . import arch, checkpoint, complexity, data, gradcheck, model, training
 GRAD_TOL = 1e-4
 
 
-def _coerce_config(cls, values, path):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, raw in values.items():
-        if key not in fields:
-            raise ValueError(f"{path}: unknown key {key!r} for "
-                             f"{cls.__name__}; known: {', '.join(sorted(fields))}")
-        typ = fields[key].type
-        if key in ("classes", "lr_steps"):
-            items = [s.strip() for s in raw.split(",") if s.strip()]
-            kwargs[key] = tuple(items) if key == "classes" else tuple(int(s) for s in items)
-        elif typ in ("int", int):
-            kwargs[key] = int(raw)
-        elif typ in ("float", float):
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = raw
-    return kwargs
+# Element types of the comma-list config keys; other keys take the type
+# their dataclass field is annotated with.
+_LIST_KEYS = {"classes": (str,), "lr_steps": (int,)}
+_FIELD_TYPES = {"int": int, "float": float}
 
 
 def _load_config(cls, path):
+    """Keyword arguments for ``cls`` from a key=value file, or {} without one."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
     try:
-        values = dict(arch.read_kv_lines(text))
+        for key, raw in arch.read_kv_lines(text):
+            if key not in fields:
+                raise arch.SpecError(f"unknown key {key!r} for {cls.__name__}; "
+                                     f"known: {', '.join(sorted(fields))}")
+            typ = _LIST_KEYS.get(key) or _FIELD_TYPES.get(fields[key], str)
+            kwargs[key] = arch.coerce(key, raw, typ)
     except arch.SpecError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return _coerce_config(cls, values, path)
+    return kwargs
 
 
 def _resolve_seed(flag_seed, file_kwargs):

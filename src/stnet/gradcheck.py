@@ -153,12 +153,6 @@ def _check_relu(rng):
     return grad_check(ops.relu, [_t_away_from_zero(rng, shape)])
 
 
-def _check_global_avg_pool2d(rng):
-    shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)),
-             int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-    return grad_check(ops.global_avg_pool2d, [_t(rng, shape)])
-
-
 def _check_temporal_max_pool(rng):
     t, c = int(rng.integers(1, 6)), int(rng.integers(1, 4))
     shape = (t, c) if rng.integers(2) else (int(rng.integers(1, 3)), t, c)
@@ -215,7 +209,6 @@ OP_CHECKS = {
     "batch_norm_train": _check_batch_norm_train,
     "batch_norm_infer": _check_batch_norm_infer,
     "relu": _check_relu,
-    "global_avg_pool2d": _check_global_avg_pool2d,
     "temporal_max_pool": _check_temporal_max_pool,
     "max_pool2d": _check_max_pool2d,
     "softmax": _check_softmax,

@@ -1,11 +1,14 @@
 """Graph assembly: parameter layout, initialization, and the forward pass.
 
-The single source of truth for the network's shape is
-:func:`layer_plans`, which walks an :class:`~stnet.arch.ArchSpec` and
-yields every parameterized layer with its shapes and multiplication
-count. The builder, the checkpoint loader, and the complexity engine all
-consume the same walk, so their parameter name sets agree by
-construction.
+The single source of truth for the network's shape is one walk of an
+:class:`~stnet.arch.ArchSpec`: :func:`backbone` yields the backbone's
+blocks in execution order, each with its (conv, bn) layer plans, and
+:func:`layer_plans` flattens them and appends the head's plans, every
+one with its shapes, stride, padding and multiplication count. The
+builder, the checkpoint loader and the complexity engine consume
+:func:`layer_plans`, and :func:`forward` runs the blocks of the same
+walk, so the parameter names and the geometry that is counted are the
+ones that are executed.
 """
 
 from __future__ import annotations
@@ -28,79 +31,93 @@ class LayerPlan:
     params: dict              # suffix -> shape
     macs: int                 # multiplications per inference pass (T included)
     out_shape: tuple          # per-clip output extents
+    stride: int = 1           # spatial stride of a conv2d plan
+    padding: int = 0          # zero padding of a conv plan (kernel // 2)
+
+
+@dataclass
+class Block:
+    """One backbone unit, as the forward pass runs it.
+
+    ``pairs`` holds the main path's (conv, bn) plans in order. A stem
+    runs conv, bn, relu and then, with ``pool``, a 3x3/2 max pool; a
+    residual block puts a relu between pairs and adds the shortcut (the
+    ``down`` pair, or the identity) before its final relu; a tm block
+    runs its dense 3-tap conv over snippets, bn and relu.
+    """
+    kind: str                 # stem | residual | tm
+    pairs: tuple
+    down: tuple = None
+    pool: bool = False
 
 
 def _conv_out(size, kernel, stride, padding):
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _conv2d_plan(name, c_in, c_out, kernel, t, ho, wo):
-    return LayerPlan(name, "conv2d",
-                     {"w": (c_out, c_in, kernel, kernel)},
-                     c_out * c_in * kernel * kernel * ho * wo * t,
-                     (t, c_out, ho, wo))
+def _conv_bn(prefix, tag, c_in, c_out, kernel, stride, t, h, w):
+    """The (conv, bn) plans ``{prefix}/conv{tag}`` and ``{prefix}/bn{tag}``."""
+    pad = kernel // 2
+    ho, wo = _conv_out(h, kernel, stride, pad), _conv_out(w, kernel, stride, pad)
+    shape = (t, c_out, ho, wo)
+    conv = LayerPlan(f"{prefix}/conv{tag}", "conv2d", {"w": (c_out, c_in, kernel, kernel)},
+                     c_out * c_in * kernel * kernel * ho * wo * t, shape, stride, pad)
+    return conv, _bn_plan(f"{prefix}/bn{tag}", c_out, shape)
 
 
 def _bn_plan(name, c, out_shape):
     return LayerPlan(name, "bn", {s: (c,) for s in BN_PARAM_SUFFIXES}, 0, out_shape)
 
 
+def _block_convs(kind, c_in, c_out, stride):
+    """(C_in, C_out, kernel, stride) of each main-path conv of a residual block."""
+    if kind == "basic":
+        return [(c_in, c_out, 3, stride), (c_out, c_out, 3, 1)]
+    mid = c_out // 4  # bottleneck; spatial stride sits on the 3x3 conv
+    return [(c_in, mid, 1, 1), (mid, mid, 3, stride), (mid, c_out, 1, 1)]
+
+
+def backbone(spec):
+    """The backbone's blocks in execution order (none for a head-only spec)."""
+    arch.validate(spec)
+    blocks = []
+    t, c, h, w = spec.t, spec.input_channels, spec.height, spec.width
+    for i, st in enumerate(spec.stages):
+        if st.kind == "conv":
+            pair = _conv_bn(f"stage{i}", "", c, st.channels, st.kernel, st.stride, t, h, w)
+            blocks.append(Block("stem", (pair,), pool=st.pool))
+            _, c, h, w = pair[1].out_shape
+            if st.pool:
+                h, w = _conv_out(h, 3, 2, 1), _conv_out(w, 3, 2, 1)
+        else:
+            for j in range(st.repeat):
+                stride = st.stride if j == 0 else 1
+                prefix = f"stage{i}/block{j}"
+                pairs, ho, wo = [], h, w
+                for k, conv in enumerate(_block_convs(st.kind, c, st.channels, stride), 1):
+                    pairs.append(_conv_bn(prefix, k, *conv, t, ho, wo))
+                    ho, wo = pairs[-1][1].out_shape[2:]
+                down = None
+                if stride != 1 or c != st.channels:
+                    down = _conv_bn(f"{prefix}/down", "", c, st.channels, 1, stride, t, h, w)
+                blocks.append(Block("residual", tuple(pairs), down))
+                c, h, w = st.channels, ho, wo
+        if spec.enable_tm and i in spec.tm_after:
+            shape = (t, c, h, w)
+            conv = LayerPlan(f"tm{i}/conv", "conv3d", {"w": (c, c, 3)},
+                             c * c * 3 * h * w * t, shape, 1, 1)
+            blocks.append(Block("tm", ((conv, _bn_plan(f"tm{i}/bn", c, shape)),)))
+    return blocks
+
+
 def layer_plans(spec):
     """Every parameterized layer of ``spec``, in execution order."""
-    arch.validate(spec)
-    plans = []
+    blocks = backbone(spec)
+    plans = [plan for blk in blocks
+             for pair in blk.pairs + ((blk.down,) if blk.down else ())
+             for plan in pair]
     t = spec.t
-
-    if spec.stages:
-        c, h, w = spec.input_channels, spec.height, spec.width
-        for i, st in enumerate(spec.stages):
-            if st.kind == "conv":
-                pad = st.kernel // 2
-                h, w = _conv_out(h, st.kernel, st.stride, pad), \
-                    _conv_out(w, st.kernel, st.stride, pad)
-                plans.append(_conv2d_plan(f"stage{i}/conv", c, st.channels,
-                                          st.kernel, t, h, w))
-                plans.append(_bn_plan(f"stage{i}/bn", st.channels, (t, st.channels, h, w)))
-                c = st.channels
-                if st.pool:
-                    h, w = _conv_out(h, 3, 2, 1), _conv_out(w, 3, 2, 1)
-            else:
-                for j in range(st.repeat):
-                    stride = st.stride if j == 0 else 1
-                    prefix = f"stage{i}/block{j}"
-                    ho, wo = _conv_out(h, 3, stride, 1), _conv_out(w, 3, stride, 1)
-                    shape = (t, st.channels, ho, wo)
-                    if st.kind == "basic":
-                        plans.append(_conv2d_plan(f"{prefix}/conv1", c, st.channels,
-                                                  3, t, ho, wo))
-                        plans.append(_bn_plan(f"{prefix}/bn1", st.channels, shape))
-                        plans.append(_conv2d_plan(f"{prefix}/conv2", st.channels,
-                                                  st.channels, 3, t, ho, wo))
-                        plans.append(_bn_plan(f"{prefix}/bn2", st.channels, shape))
-                    else:  # bottleneck; spatial stride sits on the 3x3 conv
-                        mid = st.channels // 4
-                        plans.append(_conv2d_plan(f"{prefix}/conv1", c, mid, 1, t, h, w))
-                        plans.append(_bn_plan(f"{prefix}/bn1", mid, (t, mid, h, w)))
-                        plans.append(_conv2d_plan(f"{prefix}/conv2", mid, mid, 3, t, ho, wo))
-                        plans.append(_bn_plan(f"{prefix}/bn2", mid, (t, mid, ho, wo)))
-                        plans.append(_conv2d_plan(f"{prefix}/conv3", mid, st.channels,
-                                                  1, t, ho, wo))
-                        plans.append(_bn_plan(f"{prefix}/bn3", st.channels, shape))
-                    if stride != 1 or c != st.channels:
-                        plans.append(_conv2d_plan(f"{prefix}/down/conv", c, st.channels,
-                                                  1, t, ho, wo))
-                        plans.append(_bn_plan(f"{prefix}/down/bn", st.channels, shape))
-                    c, h, w = st.channels, ho, wo
-            if spec.enable_tm and i in spec.tm_after:
-                plans.append(LayerPlan(
-                    f"tm{i}/conv", "conv3d",
-                    {"w": (c, c, 3)},
-                    c * c * 3 * h * w * t, (t, c, h, w)))
-                plans.append(_bn_plan(f"tm{i}/bn", c, (t, c, h, w)))
-        feat = c
-    else:
-        feat = spec.feature_dim
-
+    feat = plans[-1].out_shape[1] if blocks else spec.feature_dim
     head = spec.effective_head()
     k = spec.num_classes
     if head == "txb":
@@ -261,45 +278,27 @@ def _run_bn(p, prefix, x, axis, training):
                           axis=axis, training=training)
 
 
-def _run_conv_bn(p, prefix_conv, prefix_bn, x, stride, padding, training):
-    x = ops.conv2d(x, p[f"{prefix_conv}/w"], stride=stride, padding=padding)
-    return _run_bn(p, prefix_bn, x, 1, training)
+def _run_conv_bn(p, conv, bn, x, training):
+    x = ops.conv2d(x, p[f"{conv.name}/w"], stride=conv.stride, padding=conv.padding)
+    return _run_bn(p, bn.name, x, 1, training)
 
 
-def _run_stage(p, i, st, x, training):
-    if st.kind == "conv":
-        x = ops.relu(_run_conv_bn(p, f"stage{i}/conv", f"stage{i}/bn", x,
-                                  st.stride, st.kernel // 2, training))
-        return ops.max_pool2d(x) if st.pool else x
-    for j in range(st.repeat):
-        stride = st.stride if j == 0 else 1
-        prefix = f"stage{i}/block{j}"
-        need_down = stride != 1 or x.shape[1] != st.channels
-        if st.kind == "basic":
-            y = ops.relu(_run_conv_bn(p, f"{prefix}/conv1", f"{prefix}/bn1",
-                                      x, stride, 1, training))
-            y = _run_conv_bn(p, f"{prefix}/conv2", f"{prefix}/bn2", y, 1, 1, training)
-        else:
-            y = ops.relu(_run_conv_bn(p, f"{prefix}/conv1", f"{prefix}/bn1",
-                                      x, 1, 0, training))
-            y = ops.relu(_run_conv_bn(p, f"{prefix}/conv2", f"{prefix}/bn2",
-                                      y, stride, 1, training))
-            y = _run_conv_bn(p, f"{prefix}/conv3", f"{prefix}/bn3", y, 1, 0, training)
-        shortcut = x
-        if need_down:
-            shortcut = _run_conv_bn(p, f"{prefix}/down/conv", f"{prefix}/down/bn",
-                                    x, stride, 0, training)
-        x = ops.relu(y + shortcut)
-    return x
-
-
-def _run_tm(p, i, x, b, t, training):
-    bt, c, h, w = x.shape
-    # The [C, C, 3] weight is a dense 3-tap conv over the snippet axis; H, W ride
-    # along. Its output is channel-major in memory, so the final reshape copies.
-    y = ops.temporal_conv3(x.reshape((b, t, c, h, w)), p[f"tm{i}/conv/w"])
-    y = ops.relu(_run_bn(p, f"tm{i}/bn", y, 2, training))
-    return y.reshape((bt, c, h, w))
+def _run_block(p, block, x, training):
+    """One backbone block on a [B*T,C,H,W] activation."""
+    if block.kind == "tm":
+        ((conv, bn),) = block.pairs
+        # The [C, C, 3] weight is a dense 3-tap conv over the snippet axis; H, W ride
+        # along. Its output is channel-major in memory, so the final reshape copies.
+        y = ops.temporal_conv3(x.reshape((-1,) + conv.out_shape), p[f"{conv.name}/w"])
+        return ops.relu(_run_bn(p, bn.name, y, 2, training)).reshape(x.shape)
+    y = x
+    for k, (conv, bn) in enumerate(block.pairs):
+        y = _run_conv_bn(p, conv, bn, ops.relu(y) if k else y, training)
+    if block.kind == "stem":
+        y = ops.relu(y)
+        return ops.max_pool2d(y) if block.pool else y
+    shortcut = x if block.down is None else _run_conv_bn(p, *block.down, x, training)
+    return ops.relu(y + shortcut)
 
 
 def txb_branches(model, seq):
@@ -360,11 +359,9 @@ def forward(model, batch):
                 f"[B,{','.join(str(e) for e in expected)}]")
         b, t = batch.shape[:2]
         x = batch.reshape((b * t,) + tuple(batch.shape[2:]))
-        for i, st in enumerate(spec.stages):
-            x = _run_stage(model.params, i, st, x, training)
-            if spec.enable_tm and i in spec.tm_after:
-                x = _run_tm(model.params, i, x, b, t, training)
-        seq = ops.global_avg_pool2d(x).reshape((b, t, x.shape[1]))
+        for block in backbone(spec):
+            x = _run_block(model.params, block, x, training)
+        seq = ops.mean_over(x, (2, 3)).reshape((b, t, x.shape[1]))
     else:
         if batch.ndim != 3 or batch.shape[2] != spec.feature_dim:
             raise ValueError(

@@ -198,14 +198,13 @@ def linear(x, weight, bias):
 # Normalization
 # ---------------------------------------------------------------------------
 
-def batch_norm(x, alpha, beta, running_mean, running_var, axis, training,
-               momentum=BN_MOMENTUM, eps=BN_EPS):
+def batch_norm(x, alpha, beta, running_mean, running_var, axis, training):
     """Batch normalization over every axis except ``axis`` (the channel axis).
 
-    Inference: y = (x - m) / sqrt(var + eps) * alpha + beta with the
+    Inference: y = (x - m) / sqrt(var + BN_EPS) * alpha + beta with the
     accumulated running statistics. Training normalizes with batch
     statistics and updates the running buffers in place:
-    m <- momentum * m + (1 - momentum) * batch_mean (same for var).
+    m <- BN_MOMENTUM * m + (1 - BN_MOMENTUM) * batch_mean (same for var).
     Running buffers never receive gradients.
     """
     axis = axis % x.ndim
@@ -222,12 +221,12 @@ def batch_norm(x, alpha, beta, running_mean, running_var, axis, training,
         mu = x.data.mean(axis=reduce_axes)
         xc = x.data - mu.reshape(bshape)
         var = np.mean(xc * xc, axis=reduce_axes)
-        running_mean.data[...] = momentum * running_mean.data + (1 - momentum) * mu
-        running_var.data[...] = momentum * running_var.data + (1 - momentum) * var
-        inv = 1.0 / np.sqrt(var + eps)
+        running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1 - BN_MOMENTUM) * mu
+        running_var.data[...] = BN_MOMENTUM * running_var.data + (1 - BN_MOMENTUM) * var
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = xc * inv.reshape(bshape)
     else:
-        inv = 1.0 / np.sqrt(running_var.data + eps)
+        inv = 1.0 / np.sqrt(running_var.data + BN_EPS)
         xhat = (x.data - running_mean.data.reshape(bshape)) * inv.reshape(bshape)
 
     y = xhat * alpha.data.reshape(bshape) + beta.data.reshape(bshape)
@@ -261,19 +260,6 @@ def relu(x):
     if out._prev:
         def backward(g):
             x.accumulate_grad(g * mask)
-        out._backward = backward
-    return out
-
-
-def global_avg_pool2d(x):
-    """Spatial mean per channel: [B,C,H,W] -> [B,C]."""
-    _require(x.ndim == 4, f"global_avg_pool2d input must be 4D, got {x.shape}")
-    b_, c, h, w = x.shape
-    out = make_node(x.data.mean(axis=(2, 3)), (x,), "global_avg_pool2d")
-    if out._prev:
-        def backward(g):
-            x.accumulate_grad(np.broadcast_to(g[:, :, None, None],
-                                              x.data.shape) / (h * w))
         out._backward = backward
     return out
 
@@ -345,8 +331,13 @@ def softmax(x, axis=-1):
 
 
 def mean_over(x, axis):
-    """Mean over one axis, e.g. averaging per-snippet scores."""
-    n = x.shape[axis]
+    """Mean over one axis or a tuple of axes.
+
+    Averages per-snippet scores (``axis=1``) and pools [B,C,H,W] feature
+    maps spatially (``axis=(2, 3)``).
+    """
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    n = int(np.prod([x.shape[a] for a in axes]))
     out = make_node(x.data.mean(axis=axis), (x,), "mean_over")
     if out._prev:
         def backward(g):

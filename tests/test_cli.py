@@ -212,3 +212,22 @@ def test_config_line_without_equals_names_file_and_line(capsys, tmp_path, micro_
                            "--config", str(train_cfg), "--out", str(tmp_path / "m.stnc"))
     assert code == 1
     assert f"{train_cfg}: line 4:" in err
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("train", "epochs = abc", "epochs: expected an integer, got 'abc'"),
+    ("train", "lr = fast", "lr: expected a number, got 'fast'"),
+    ("train", "lr_steps = 1,x", "lr_steps: expected an integer, got 'x'"),
+    ("gen-data", "clips_per_class = 1.5", "clips_per_class: expected an integer, got '1.5'"),
+], ids=["epochs", "lr", "lr_steps", "clips_per_class"])
+def test_bad_config_value_names_file_and_key(capsys, tmp_path, micro_files,
+                                             command, line, message):
+    spec, _ = micro_files
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"seed = 1\n{line}\n")
+    data_args = ["--spec", str(spec), "--data", str(tmp_path / "ds.stvd")] \
+        if command == "train" else []
+    code, _, err = run_cli(capsys, command, *data_args, "--config", str(bad),
+                           "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert f"{bad}: {message}" in err

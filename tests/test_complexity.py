@@ -47,7 +47,7 @@ class TestParamCounts:
 
 class TestFlopCounts:
     def test_single_conv_formula(self):
-        plan = model._conv2d_plan("conv", 1, 1, 3, 1, 4, 4)
+        plan, _ = model._conv_bn("stage0", "", 1, 1, 3, 1, 1, 4, 4)
         assert plan.macs == 144  # 16 positions x 9 taps
 
     def test_resnet50_flops_within_five_percent(self):

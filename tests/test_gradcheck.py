@@ -57,14 +57,21 @@ def _case_fc(rng):
     return grad_check(ops.linear, [_t(rng, (b, ci)), _t(rng, (co, ci)), _t(rng, (co,))])
 
 
-# Each fixed-rank call the model makes through temporal_conv3 and linear,
-# checked on its own so that a rank-specific fault is named by its caller.
+def _case_global_avg_pool2d(rng):
+    # Spatial pooling of the backbone features: mean_over axes (2, 3) of [B,C,H,W].
+    shape = (_dim(rng, 1, 3), _dim(rng, 1, 4), _dim(rng, 1, 5), _dim(rng, 1, 5))
+    return grad_check(lambda x: ops.mean_over(x, (2, 3)), [_t(rng, shape)])
+
+
+# Each fixed-rank call the model makes through temporal_conv3, linear and
+# mean_over, checked on its own so that a rank-specific fault is named by its caller.
 CALL_CASES = {
     "conv3d_t311": _case_conv3d_t311,
     "conv1d_channelwise": _case_conv1d_channelwise,
     "conv1d_full": _case_conv1d_full,
     "conv1d_temporalwise": _case_conv1d_temporalwise,
     "fc": _case_fc,
+    "global_avg_pool2d": _case_global_avg_pool2d,
 }
 CHECKS = {**OP_CHECKS, **CALL_CASES}
 

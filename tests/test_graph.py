@@ -439,6 +439,11 @@ class TestArchFiles:
         with pytest.raises(arch.SpecError, match="unknown key"):
             arch.parse_arch("t = 1\nwhatever = 2\n")
 
+    def test_malformed_list_names_the_key(self):
+        with pytest.raises(arch.SpecError, match="tm_after: expected an integer, got 'x'"):
+            arch.parse_arch("t = 1\nn = 1\nheight = 8\nwidth = 8\nnum_classes = 2\n"
+                            "tm_after = 1,x\n")
+
     def test_unknown_preset_lists_options(self):
         with pytest.raises(arch.SpecError, match="stnet-toy"):
             arch.load_preset("nope")
@@ -616,3 +621,84 @@ class TestGraphRelease:
         with pytest.raises(RuntimeError, match="already"):
             (y + y).backward(np.ones(3))
         assert np.array_equal(x.grad, before)
+
+
+class TestPlanGeometry:
+    @pytest.mark.parametrize("preset", arch.PRESETS)
+    def test_executed_geometry_matches_plans(self, preset, monkeypatch):
+        # Every conv2d and batch_norm call of an infer forward runs with its
+        # plan's stride, padding and per-clip output shape, B*T leading.
+        spec = arch.load_preset(preset)
+        if spec.stages:
+            spec = arch.with_overrides(spec, t=2, res=32)
+        m = model.build_model(spec).set_mode("infer")
+        plans = [p for p in model.layer_plans(spec) if p.kind in ("conv2d", "bn")]
+        owner = {id(m.params[f"{p.name}/{'w' if p.kind == 'conv2d' else 'alpha'}"]): p
+                 for p in plans}
+        calls = []
+        conv2d, batch_norm = ops.conv2d, ops.batch_norm
+
+        def record(plan, geometry, out):
+            lead = out.ndim - len(plan.out_shape) + 1
+            calls.append((plan.name, geometry,
+                          (int(np.prod(out.shape[:lead])),) + out.shape[lead:]))
+            return out
+
+        def conv2d_rec(x, weight, stride=1, padding=0):
+            return record(owner[id(weight)], (stride, padding),
+                          conv2d(x, weight, stride=stride, padding=padding))
+
+        def batch_norm_rec(x, alpha, *args, **kwargs):
+            return record(owner[id(alpha)], None, batch_norm(x, alpha, *args, **kwargs))
+
+        monkeypatch.setattr(ops, "conv2d", conv2d_rec)
+        monkeypatch.setattr(ops, "batch_norm", batch_norm_rec)
+        b = 2
+        if spec.stages:
+            model.forward(m, batch_for(spec, b=b))
+        else:
+            model.forward(m, Tensor(np.zeros((b, spec.t, spec.feature_dim), np.float32)))
+        assert calls == [(p.name, (p.stride, p.padding) if p.kind == "conv2d" else None,
+                          (b * spec.t,) + p.out_shape[1:]) for p in plans]
+
+
+class TestWholeModelGradient:
+    @pytest.mark.parametrize("head", arch.HEADS)
+    def test_directional_derivatives_float64(self, head):
+        # A 7x7/2 stem with max-pool, a bottleneck stage whose first block
+        # has a down shortcut and whose second has the identity, and a TM
+        # block, with each head. Along fixed random directions over every
+        # trainable parameter, the analytic derivative of a train-mode loss
+        # must match a central difference.
+        spec = arch.validate(arch.ArchSpec(
+            name="grad", t=3, n=2, height=16, width=16, num_classes=3,
+            stages=(arch.StageSpec("conv", 4, stride=2, kernel=7, pool=True),
+                    arch.StageSpec("bottleneck", 8, stride=2, repeat=2)),
+            tm_after=(1,), head=head, txb_channels=4))
+        m = model.build_model(spec, seed=0)
+        m64 = model.ModelInstance(spec, {
+            k: Tensor(v.data, requires_grad=v.requires_grad, dtype=np.float64)
+            for k, v in m.params.items()})
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, spec.t, spec.input_channels, 16, 16)),
+                   dtype=np.float64)
+        labels = rng.integers(0, spec.num_classes, 2)
+        ops.softmax_cross_entropy(model.forward(m64, x), labels).backward()
+        params = [t for _, t in m64.trainable()]
+        assert all(t.grad is not None for t in params)
+        # Detached views share the buffers perturbed below and build no graph.
+        frozen = model.ModelInstance(spec, {k: t.detach() for k, t in m64.params.items()})
+        origin = [t.data.copy() for t in params]
+
+        def loss_at(step, dirs):
+            for t, o, d in zip(params, origin, dirs):
+                t.data[...] = o + step * d
+            return ops.softmax_cross_entropy(model.forward(frozen, x), labels).item()
+
+        h = 1e-6
+        for _ in range(3):
+            dirs = [rng.standard_normal(t.shape) for t in params]
+            analytic = sum(float(np.vdot(t.grad, d)) for t, d in zip(params, dirs))
+            numeric = (loss_at(h, dirs) - loss_at(-h, dirs)) / (2 * h)
+            assert abs(analytic - numeric) <= 1e-6 * max(abs(analytic), abs(numeric)), \
+                (analytic, numeric)
