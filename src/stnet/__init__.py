@@ -1,24 +1,24 @@
 """Super-image video classification on a self-contained numpy autodiff core."""
 
-from .arch import ArchSpec, SpecError, StageSpec, TxbSpec, load_preset, resolve_spec
+from .arch import ArchSpec, SpecError, StageSpec, load_preset, resolve_spec
 from .checkpoint import load_checkpoint, save_checkpoint
 from .complexity import ComplexityReport, analyze, emit_report
 from .data import (SamplerConfig, SynthConfig, VideoClip, gen_synthetic,
                    make_super_images, read_dataset, sample_snippets, write_dataset)
 from .gradcheck import grad_check, run_op_checks
-from .model import (ModelInstance, build_model, build_txb, forward,
-                    inflate_first_conv, init_tm_block)
+from .model import (ModelInstance, build_model, forward, inflate_first_conv,
+                    init_tm_block)
 from .tensor import NumericsError, Tensor
 from .training import Metrics, TrainConfig, evaluate, run_ablation, train
 
 __all__ = [
-    "ArchSpec", "SpecError", "StageSpec", "TxbSpec", "load_preset", "resolve_spec",
+    "ArchSpec", "SpecError", "StageSpec", "load_preset", "resolve_spec",
     "load_checkpoint", "save_checkpoint",
     "ComplexityReport", "analyze", "emit_report",
     "SamplerConfig", "SynthConfig", "VideoClip", "gen_synthetic",
     "make_super_images", "read_dataset", "sample_snippets", "write_dataset",
     "grad_check", "run_op_checks",
-    "ModelInstance", "build_model", "build_txb", "forward",
+    "ModelInstance", "build_model", "forward",
     "inflate_first_conv", "init_tm_block",
     "NumericsError", "Tensor",
     "Metrics", "TrainConfig", "evaluate", "run_ablation", "train",

@@ -1,8 +1,10 @@
 """Declarative network descriptions and their flat key=value file format.
 
 An :class:`ArchSpec` fully determines the graph: it is consumed by the
-model builder/executor and by the complexity engine. Presets live under
-``stnet/presets/*.arch``.
+model builder/executor and by the complexity engine. Each StNet component
+is one field: super-images are ``n`` > 1, the temporal-modeling blocks
+are ``tm_after`` and the temporal Xception head is ``head``. Presets live
+under ``stnet/presets/*.arch``.
 """
 
 from __future__ import annotations
@@ -38,14 +40,6 @@ class StageSpec:
 
 
 @dataclass(frozen=True)
-class TxbSpec:
-    """Temporal-Xception head dimensions."""
-    c_in: int
-    c_out: int = 1024
-    num_classes: int = 400
-
-
-@dataclass(frozen=True)
 class ArchSpec:
     name: str
     t: int                      # snippets per clip
@@ -58,18 +52,10 @@ class ArchSpec:
     head: str = "txb"
     txb_channels: int = 1024
     feature_dim: int = 0        # >0: head-only spec fed a [B,T,C] sequence
-    enable_superimage: bool = True
-    enable_tm: bool = True
-    enable_txb: bool = True
 
     @property
     def input_channels(self):
         return 3 * self.n
-
-    def effective_head(self):
-        if self.head == "txb" and not self.enable_txb:
-            return "avg_score"
-        return self.head
 
 
 def validate(spec):
@@ -81,8 +67,6 @@ def validate(spec):
         bad("t", "must be >= 1")
     if spec.n < 1:
         bad("n", "must be >= 1")
-    if not spec.enable_superimage and spec.n != 1:
-        bad("n", "must be 1 when enable_superimage is false")
     if spec.height < 1 or spec.width < 1:
         bad("height/width", "must be >= 1")
     if spec.num_classes < 2:
@@ -121,8 +105,6 @@ def with_overrides(spec, t=None, n=None, res=None, num_classes=None):
         kw["t"] = t
     if n is not None:
         kw["n"] = n
-        if n > 1:
-            kw["enable_superimage"] = True
     if res is not None:
         kw["height"] = res
         kw["width"] = res
@@ -141,7 +123,6 @@ _BOOLS = {"true": True, "false": False, "1": True, "0": False,
 _SCALAR_KEYS = {
     "name": str, "t": int, "n": int, "height": int, "width": int,
     "num_classes": int, "head": str, "txb_channels": int, "feature_dim": int,
-    "enable_superimage": bool, "enable_tm": bool, "enable_txb": bool,
     "tm_after": (int,),
 }
 _STAGE_KEYS = {"kind": str, "channels": int, "stride": int, "repeat": int,
@@ -190,12 +171,19 @@ def read_kv_lines(text):
 
 
 def parse_arch(text, name_hint=""):
-    """Parse the flat key=value format into a validated ArchSpec."""
+    """Parse the flat key=value format into a validated ArchSpec.
+
+    Older files' ``enable_*`` toggles are read, never written: ``false``
+    requires ``n = 1``, empties ``tm_after`` or makes a txb head avg_score.
+    """
     scalars = {}
+    toggles = {}
     stage_fields = {}
     for key, raw in read_kv_lines(text):
         if key in _SCALAR_KEYS:
             scalars[key] = coerce(key, raw, _SCALAR_KEYS[key])
+        elif key in ("enable_superimage", "enable_tm", "enable_txb"):
+            toggles[key] = coerce(key, raw, bool)
         elif key.startswith("stages."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _STAGE_KEYS:
@@ -222,7 +210,15 @@ def parse_arch(text, name_hint=""):
         if required not in scalars:
             raise SpecError(f"{required}: missing")
     scalars.setdefault("name", name_hint)
-    return validate(ArchSpec(stages=tuple(stages), **scalars))
+    spec = validate(ArchSpec(stages=tuple(stages), **scalars))
+    if not toggles.get("enable_superimage", True) and spec.n != 1:
+        raise SpecError(f"{spec.name or '<spec>'}: n: must be 1 when "
+                        "enable_superimage is false")
+    if not toggles.get("enable_tm", True):
+        spec = dataclasses.replace(spec, tm_after=())
+    if not toggles.get("enable_txb", True) and spec.head == "txb":
+        spec = dataclasses.replace(spec, head="avg_score")
+    return spec
 
 
 def format_arch(spec):
@@ -234,8 +230,6 @@ def format_arch(spec):
     if spec.feature_dim:
         lines.append(f"feature_dim = {spec.feature_dim}")
     lines.append(f"tm_after = {','.join(str(i) for i in spec.tm_after)}")
-    for key in ("enable_superimage", "enable_tm", "enable_txb"):
-        lines.append(f"{key} = {'true' if getattr(spec, key) else 'false'}")
     for i, st in enumerate(spec.stages):
         lines.append(f"stages.{i}.kind = {st.kind}")
         lines.append(f"stages.{i}.channels = {st.channels}")

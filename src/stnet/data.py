@@ -48,13 +48,16 @@ class VideoClip:
         return self.frames.shape[0]
 
 
+# Input normalization after /255, the same for every RGB channel.
+PIXEL_MEAN = 0.5
+PIXEL_STD = 0.25
+
+
 @dataclass
 class SamplerConfig:
     t: int
     n: int
     train: bool = False                    # random in-segment offset vs centered
-    mean: tuple = (0.5, 0.5, 0.5)          # per RGB channel, applied after /255
-    std: tuple = (0.25, 0.25, 0.25)
 
     def __post_init__(self):
         if self.t < 1 or self.n < 1:
@@ -87,19 +90,17 @@ def make_super_images(clip, windows, cfg):
     """Stack each window's frames along channels: [T, 3N, H, W] float32.
 
     Channel c holds color channel c % 3 of frame c // 3 of the snippet;
-    values are normalized as (x/255 - mean) / std.
+    values are normalized as (x/255 - PIXEL_MEAN) / PIXEL_STD.
     """
     f, _, h, w = clip.frames.shape
     t = len(windows)
-    mean = np.tile(np.asarray(cfg.mean, np.float32), cfg.n)
-    std = np.tile(np.asarray(cfg.std, np.float32), cfg.n)
     out = np.empty((t, 3 * cfg.n, h, w), dtype=np.float32)
     for i, window in enumerate(windows):
         stacked = clip.frames[window].reshape(3 * cfg.n, h, w)
         out[i] = stacked
     out /= 255.0
-    out -= mean[None, :, None, None]
-    out /= std[None, :, None, None]
+    out -= PIXEL_MEAN
+    out /= PIXEL_STD
     return out
 
 

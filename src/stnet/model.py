@@ -8,11 +8,13 @@ one with its shapes, stride, padding and multiplication count. The
 builder, the checkpoint loader and the complexity engine consume
 :func:`layer_plans`, and :func:`forward` runs the blocks of the same
 walk, so the parameter names and the geometry that is counted are the
-ones that are executed.
+ones that are executed. Each head plan follows from its weight shape,
+as does every weight's He fan-in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +71,13 @@ def _bn_plan(name, c, out_shape):
     return LayerPlan(name, "bn", {s: (c,) for s in BN_PARAM_SUFFIXES}, 0, out_shape)
 
 
+def _head_plan(name, kind, wshape, steps):
+    """A head layer with weight ``wshape`` and a bias, applied at ``steps`` snippets."""
+    out_shape = (wshape[0],) if kind == "fc" else (steps, wshape[0])  # fc: one per clip
+    return LayerPlan(name, kind, {"w": wshape, "b": wshape[:1]},
+                     steps * math.prod(wshape), out_shape)
+
+
 def _block_convs(kind, c_in, c_out, stride):
     """(C_in, C_out, kernel, stride) of each main-path conv of a residual block."""
     if kind == "basic":
@@ -102,7 +111,7 @@ def backbone(spec):
                     down = _conv_bn(f"{prefix}/down", "", c, st.channels, 1, stride, t, h, w)
                 blocks.append(Block("residual", tuple(pairs), down))
                 c, h, w = st.channels, ho, wo
-        if spec.enable_tm and i in spec.tm_after:
+        if i in spec.tm_after:
             shape = (t, c, h, w)
             conv = LayerPlan(f"tm{i}/conv", "conv3d", {"w": (c, c, 3)},
                              c * c * 3 * h * w * t, shape, 1, 1)
@@ -116,36 +125,22 @@ def layer_plans(spec):
     plans = [plan for blk in blocks
              for pair in blk.pairs + ((blk.down,) if blk.down else ())
              for plan in pair]
-    t = spec.t
+    t, k, co = spec.t, spec.num_classes, spec.txb_channels
     feat = plans[-1].out_shape[1] if blocks else spec.feature_dim
-    head = spec.effective_head()
-    k = spec.num_classes
-    if head == "txb":
-        co = spec.txb_channels
-        plans.append(_bn_plan("txb/bn", feat, (t, feat)))
-        plans.append(LayerPlan("txb/long/cw1", "cw", {"w": (feat, 3), "b": (feat,)},
-                               t * feat * 3, (t, feat)))
-        plans.append(LayerPlan("txb/long/tw1", "tw", {"w": (co, feat), "b": (co,)},
-                               t * feat * co, (t, co)))
-        plans.append(LayerPlan("txb/long/cw2", "cw", {"w": (co, 3), "b": (co,)},
-                               t * co * 3, (t, co)))
-        plans.append(LayerPlan("txb/long/tw2", "tw", {"w": (co, co), "b": (co,)},
-                               t * co * co, (t, co)))
-        plans.append(LayerPlan("txb/short/tw", "tw", {"w": (co, feat), "b": (co,)},
-                               t * feat * co, (t, co)))
-        plans.append(LayerPlan("head/fc", "fc", {"w": (k, co), "b": (k,)},
-                               co * k, (k,)))
-    elif head == "avg_score":
-        plans.append(LayerPlan("head/fc", "fc", {"w": (k, feat), "b": (k,)},
-                               t * feat * k, (k,)))
+    if spec.head == "txb":
+        plans += [_bn_plan("txb/bn", feat, (t, feat)),
+                  _head_plan("txb/long/cw1", "cw", (feat, 3), t),
+                  _head_plan("txb/long/tw1", "tw", (co, feat), t),
+                  _head_plan("txb/long/cw2", "cw", (co, 3), t),
+                  _head_plan("txb/long/tw2", "tw", (co, co), t),
+                  _head_plan("txb/short/tw", "tw", (co, feat), t),
+                  _head_plan("head/fc", "fc", (k, co), 1)]
+    elif spec.head == "avg_score":
+        plans.append(_head_plan("head/fc", "fc", (k, feat), t))
     else:  # ordinary_tconv
-        co = spec.txb_channels
-        plans.append(LayerPlan("head/conv1", "conv1d", {"w": (co, feat, 3), "b": (co,)},
-                               t * co * feat * 3, (t, co)))
-        plans.append(LayerPlan("head/conv2", "conv1d", {"w": (co, co, 3), "b": (co,)},
-                               t * co * co * 3, (t, co)))
-        plans.append(LayerPlan("head/fc", "fc", {"w": (k, co), "b": (k,)},
-                               co * k, (k,)))
+        plans += [_head_plan("head/conv1", "conv1d", (co, feat, 3), t),
+                  _head_plan("head/conv2", "conv1d", (co, co, 3), t),
+                  _head_plan("head/fc", "fc", (k, co), 1)]
     return plans
 
 
@@ -182,16 +177,13 @@ def init_tm_block(c_in, c_out=None):
     channels; the batch norm starts as an identity map.
     """
     c_out = c_in if c_out is None else c_out
-    return {
-        "conv/w": np.full((c_out, c_in, 3), 1.0 / (3 * c_in), dtype=np.float32),
-        "bn/alpha": np.ones(c_out, dtype=np.float32),
-        "bn/beta": np.zeros(c_out, dtype=np.float32),
-        "bn/mean": np.zeros(c_out, dtype=np.float32),
-        "bn/var": np.full(c_out, 1.0 - ops.BN_EPS, dtype=np.float32),
-    }
+    return {"conv/w": np.full((c_out, c_in, 3), 1.0 / (3 * c_in), dtype=np.float32),
+            **{f"bn/{k}": v for k, v in _identity_bn(c_out).items()}}
 
 
-def _he(rng, shape, fan_in):
+def _he(rng, shape):
+    """He-normal weights; the fan-in is every axis but the first (output) one."""
+    fan_in = math.prod(shape[1:])
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
 
 
@@ -235,37 +227,22 @@ def build_model(spec, seed=0):
     arch.validate(spec)
     rng = np.random.default_rng(seed)
     params = {}
-    first_conv = bool(spec.stages)
     for plan in layer_plans(spec):
         wshape = plan.params.get("w")
         if plan.kind == "bn":
             arrays = _identity_bn(plan.params["alpha"][0])
         elif plan.kind == "conv3d":
             arrays = {"w": init_tm_block(wshape[1], wshape[0])["conv/w"]}
-        elif plan.kind == "conv2d":
-            c_out, c_in, kh, kw = wshape
-            if first_conv:
-                w3 = _he(rng, (c_out, 3, kh, kw), 3 * kh * kw)
-                arrays = {"w": inflate_first_conv(w3, spec.n).astype(np.float32)}
-                first_conv = False
-            else:
-                arrays = {"w": _he(rng, wshape, c_in * kh * kw)}
-        else:  # fan-in: 3 taps for cw, C_in * 3 for conv1d, C_in for tw and fc
-            fan_in = {"cw": 3, "conv1d": wshape[1] * 3}.get(plan.kind, wshape[1])
-            arrays = {"w": _he(rng, wshape, fan_in), "b": np.zeros(wshape[0], np.float32)}
+        elif plan.name == "stage0/conv":  # the stem: a 3-channel kernel, inflated
+            w3 = _he(rng, (wshape[0], 3) + wshape[2:])
+            arrays = {"w": inflate_first_conv(w3, spec.n).astype(np.float32)}
+        else:  # He weights; head biases start at zero
+            arrays = {s: _he(rng, shape) if s == "w" else np.zeros(shape, np.float32)
+                      for s, shape in plan.params.items()}
         for suffix, arr in arrays.items():
             params[f"{plan.name}/{suffix}"] = Tensor(
                 arr, requires_grad=suffix not in RUNNING_STAT_SUFFIXES)
     return ModelInstance(spec=spec, params=params)
-
-
-def build_txb(txb_spec, seed=0, t=25):
-    """A standalone temporal-Xception head over [B,T,C_in] sequences."""
-    head_spec = arch.validate(arch.ArchSpec(
-        name="txb-head", t=t, n=1, height=1, width=1,
-        num_classes=txb_spec.num_classes, feature_dim=txb_spec.c_in,
-        txb_channels=txb_spec.c_out, enable_superimage=False, enable_tm=False))
-    return build_model(head_spec, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +345,8 @@ def forward(model, batch):
                 f"batch shape {tuple(batch.shape)} does not match "
                 f"[B,T,{spec.feature_dim}]")
         seq = batch
-    head = spec.effective_head()
-    if head == "txb":
+    if spec.head == "txb":
         return _run_txb_head(model, seq)
-    if head == "avg_score":
+    if spec.head == "avg_score":
         return _run_avg_head(model, seq)
     return _run_ordinary_head(model, seq)

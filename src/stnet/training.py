@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +32,15 @@ class TrainConfig:
     lr_steps: tuple = ()        # epoch indices at which lr is multiplied by lr_decay
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # Each test is written so that NaN fails it.
+        for name, ok, rule in (
+                ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+                ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+                ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
+                ("lr_decay", 0 < self.lr_decay < math.inf, "finite and > 0"),
+                ("batch_size", self.batch_size >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         self.lr_steps = tuple(self.lr_steps)
 
 
@@ -202,14 +208,16 @@ ABLATION_ROWS = (
 
 
 def variant_spec(base, superimage, tm, txb):
-    """Derive a toggled variant of ``base`` (which should be fully enabled)."""
+    """Derive a toggled variant of ``base`` (which should be fully enabled).
+
+    Off means one frame per snippet, no TM blocks, or avg_score for a txb head.
+    """
     spec = dataclasses.replace(
         base,
         name=f"{base.name}[si={int(superimage)},tm={int(tm)},txb={int(txb)}]",
         n=base.n if superimage else 1,
-        enable_superimage=superimage,
-        enable_tm=tm,
-        enable_txb=txb)
+        tm_after=base.tm_after if tm else (),
+        head="avg_score" if base.head == "txb" and not txb else base.head)
     return arch.validate(spec)
 
 

@@ -177,8 +177,9 @@ def test_c07_tm_init_invariant():
 
 
 def test_c08_receptive_field_properties():
-    txb = arch.TxbSpec(c_in=10, c_out=12, num_classes=4)
-    m = model.build_txb(txb, seed=3).set_mode("infer")
+    spec = arch.validate(arch.ArchSpec(name="txb-head", t=25, n=1, height=1, width=1,
+                                       num_classes=4, feature_dim=10, txb_channels=12))
+    m = model.build_model(spec, seed=3).set_mode("infer")
     rng = np.random.default_rng(4)
     t = 13
     x = rng.standard_normal((t, 10))

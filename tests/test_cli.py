@@ -214,6 +214,20 @@ def test_config_line_without_equals_names_file_and_line(capsys, tmp_path, micro_
     assert f"{train_cfg}: line 4:" in err
 
 
+def test_non_finite_config_lr_rejected_before_training(capsys, tmp_path, micro_files):
+    spec, synth = micro_files
+    ds = tmp_path / "ds.stvd"
+    run_cli(capsys, "gen-data", "--config", str(synth), "--out", str(ds))
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text("epochs = 1\nbatch_size = 4\nlr = nan\n")
+    ckpt = tmp_path / "m.stnc"
+    code, out, err = run_cli(capsys, "train", "--spec", str(spec), "--data", str(ds),
+                             "--config", str(train_cfg), "--out", str(ckpt))
+    assert code == 1
+    assert "lr: must be finite and > 0, got nan" in err
+    assert "final loss" not in out and not ckpt.exists()
+
+
 @pytest.mark.parametrize("command, line, message", [
     ("train", "epochs = abc", "epochs: expected an integer, got 'abc'"),
     ("train", "lr = fast", "lr: expected a number, got 'fast'"),

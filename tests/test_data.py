@@ -88,16 +88,16 @@ class TestSuperImages:
             for ci in range(3):
                 frames[fi, ci] = 10 * fi + ci
         clip = clip_of(frames)
-        cfg = data.SamplerConfig(t=3, n=3, mean=(0, 0, 0), std=(1, 1, 1))
+        cfg = data.SamplerConfig(t=3, n=3)
         windows = data.sample_snippets(clip, cfg)
         out = data.make_super_images(clip, windows, cfg)
         for ti, window in enumerate(windows):
             for k in range(9):
-                want = (10 * window[k // 3] + k % 3) / 255.0
+                want = ((10 * window[k // 3] + k % 3) / 255.0 - 0.5) / 0.25
                 assert np.allclose(out[ti, k], want)
 
     def test_normalization(self):
-        cfg = data.SamplerConfig(t=1, n=1, mean=(0.5, 0.5, 0.5), std=(0.25, 0.25, 0.25))
+        cfg = data.SamplerConfig(t=1, n=1)
         clip = gray_clip(1, value=255)
         out = data.make_super_images(clip, [[0]], cfg)
         assert np.allclose(out, (1.0 - 0.5) / 0.25)

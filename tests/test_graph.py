@@ -1,11 +1,12 @@
 """Model assembly: building, initialization schemes, forward paths, checkpoints."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stnet import arch, checkpoint, data, model, ops, serial, training
+from stnet import arch, checkpoint, complexity, data, model, ops, serial, training
 from stnet.checkpoint import ParamMismatchError
 from stnet.serial import MagicError, TruncatedError, VersionError
 from stnet.tensor import Tensor
@@ -24,6 +25,13 @@ def tiny_spec(**overrides):
         tm_after=(1,), head="txb", txb_channels=8)
     base.update(overrides)
     return arch.validate(arch.ArchSpec(**base))
+
+
+def head_spec(c_in, c_out, num_classes):
+    """A head-only TXB spec over [B,T,c_in] feature sequences."""
+    return arch.validate(arch.ArchSpec(
+        name="txb-head", t=25, n=1, height=1, width=1, num_classes=num_classes,
+        feature_dim=c_in, txb_channels=c_out))
 
 
 def batch_for(spec, b=2, seed=0):
@@ -74,6 +82,60 @@ FRESH_TOY_LOGITS = (
      "-0x1.3496f8p-1"),
 )
 
+# Fresh infer logits with the two heads FRESH_TOY_LOGITS does not reach:
+# tsn-toy's per-snippet fc (avg_score) and a stnet-toy variant with the
+# ordinary_tconv head (two dense 3-tap convs and an fc). They pin each
+# head's He fan-in: C_in for the fc and C_in * 3 for the conv1d weights.
+FRESH_HEAD_LOGITS = {
+    "avg_score": (
+        ("0x1.c4c7cp-9", "0x1.6a6cdap-6", "0x1.0b28fp-2", "0x1.6b281cp-1", "0x1.02c0cp-8",
+         "0x1.2ddbecp-12"),
+        ("0x1.78bcf4p-9", "0x1.32abfcp-6", "0x1.0328c2p-2", "0x1.713f14p-1", "0x1.ee2becp-9",
+         "0x1.82186cp-12")),
+    "ordinary_tconv": (
+        ("-0x1.48a844p-1", "0x1.aae7c8p-1", "-0x1.50b64p-7", "-0x1.8494ap-4", "0x1.78d104p+0",
+         "-0x1.c94062p-3"),
+        ("-0x1.5390acp-1", "0x1.b84ff6p-1", "-0x1.5dbcfp-7", "-0x1.90d3ap-4", "0x1.845934p+0",
+         "-0x1.d90454p-3")),
+}
+
+TOY_STAGES_ARCH = """\
+stages.0.kind = conv
+stages.0.channels = 16
+stages.0.stride = 1
+stages.0.repeat = 1
+stages.0.kernel = 3
+stages.0.pool = false
+stages.1.kind = basic
+stages.1.channels = 16
+stages.1.stride = 1
+stages.1.repeat = 1
+stages.2.kind = basic
+stages.2.channels = 32
+stages.2.stride = 2
+stages.2.repeat = 1
+stages.3.kind = basic
+stages.3.channels = 64
+stages.3.stride = 2
+stages.3.repeat = 1
+"""
+
+# `.arch` sidecars as `stnet train` wrote them when ArchSpec still carried the
+# enable_* toggles, with the (total params, total mults) they described then.
+OLD_SIDECARS = {
+    "tsn-toy": (
+        "name = tsn-toy\nt = 4\nn = 1\nheight = 32\nwidth = 32\nnum_classes = 6\n"
+        "head = avg_score\ntxb_channels = 64\ntm_after = \nenable_superimage = false\n"
+        "enable_tm = false\nenable_txb = false\n" + TOY_STAGES_ARCH,
+        (77_782, 50_005_504)),
+    "stnet-toy[si=1,tm=0,txb=0]": (
+        "name = stnet-toy[si=1,tm=0,txb=0]\nt = 4\nn = 3\nheight = 32\nwidth = 32\n"
+        "num_classes = 6\nhead = txb\ntxb_channels = 64\ntm_after = 2,3\n"
+        "enable_superimage = true\nenable_tm = false\nenable_txb = false\n"
+        + TOY_STAGES_ARCH,
+        (78_646, 53_544_448)),
+}
+
 
 class TestBuild:
     def test_toy_builds_and_runs(self):
@@ -92,8 +154,7 @@ class TestBuild:
     def test_first_conv_channels_follow_superimage_toggle(self):
         wide = model.build_model(tiny_spec(), seed=0)
         assert wide.params["stage0/conv/w"].shape[1] == 6
-        flat = model.build_model(
-            tiny_spec(n=1, enable_superimage=False), seed=0)
+        flat = model.build_model(tiny_spec(n=1), seed=0)
         assert flat.params["stage0/conv/w"].shape[1] == 3
 
     def test_resnet50_builds_symbolically(self):
@@ -125,11 +186,21 @@ class TestBuild:
                         dtype=np.float32)
         assert np.array_equal(got, want), got
 
+    @pytest.mark.parametrize("head", sorted(FRESH_HEAD_LOGITS))
+    def test_fresh_head_logits_are_pinned(self, head):
+        spec = arch.load_preset("tsn-toy") if head == "avg_score" else \
+            dataclasses.replace(toy_spec(), head=head)
+        m = model.build_model(spec, seed=0).set_mode("infer")
+        got = model.forward(m, batch_for(spec, b=2, seed=0)).data
+        want = np.array([[float.fromhex(v) for v in row] for row in FRESH_HEAD_LOGITS[head]],
+                        dtype=np.float32)
+        assert np.array_equal(got, want), got
+
     def test_invalid_spec_reports_field(self):
         with pytest.raises(arch.SpecError, match="tm_after"):
             arch.validate(dataclasses.replace(tiny_spec(), tm_after=(9,)))
         with pytest.raises(arch.SpecError, match="n: must be 1"):
-            model.build_model(dataclasses.replace(tiny_spec(), enable_superimage=False))
+            arch.parse_arch(arch.format_arch(tiny_spec()) + "enable_superimage = false\n")
 
 
 class TestInflation:
@@ -195,7 +266,7 @@ class TestForwardSemantics:
         assert np.array_equal(back.data, x.data)
 
     def test_avg_head_equals_mean_of_single_snippet_predictions(self):
-        spec = tiny_spec(head="avg_score", enable_tm=False, enable_txb=False)
+        spec = tiny_spec(head="avg_score", tm_after=())
         m = model.build_model(spec, seed=5).set_mode("infer")
         batch = batch_for(spec, b=3, seed=6)
         logits = model.forward(m, batch).data
@@ -215,7 +286,7 @@ class TestForwardSemantics:
         while np.all(perm == np.arange(3)):
             perm = rng.permutation(3)
 
-        avg_spec = tiny_spec(head="avg_score", enable_tm=False, enable_txb=False)
+        avg_spec = tiny_spec(head="avg_score", tm_after=())
         avg_m = model.build_model(avg_spec, seed=8).set_mode("infer")
         batch = batch_for(avg_spec, b=2, seed=9)
         shuffled = Tensor(batch.data[:, perm])
@@ -242,8 +313,7 @@ class TestForwardSemantics:
 
 class TestTxb:
     def test_long_branch_rf5_short_rf1(self):
-        txb = arch.TxbSpec(c_in=6, c_out=8, num_classes=5)
-        m = model.build_txb(txb, seed=11).set_mode("infer")
+        m = model.build_model(head_spec(6, 8, 5), seed=11).set_mode("infer")
         rng = np.random.default_rng(12)
         t = 11
         x = rng.standard_normal((t, 6)).astype(np.float64)
@@ -267,8 +337,7 @@ class TestTxb:
         # With a single timestep the padded neighborhoods are zero, so both
         # branches collapse to per-timestep maps; the short branch is exactly
         # affine.
-        txb = arch.TxbSpec(c_in=5, c_out=7, num_classes=3)
-        m = model.build_txb(txb, seed=13).set_mode("infer")
+        m = model.build_model(head_spec(5, 7, 3), seed=13).set_mode("infer")
         rng = np.random.default_rng(14)
         x1 = rng.standard_normal((1, 5))
         x2 = rng.standard_normal((1, 5))
@@ -447,6 +516,45 @@ class TestArchFiles:
     def test_unknown_preset_lists_options(self):
         with pytest.raises(arch.SpecError, match="stnet-toy"):
             arch.load_preset("nope")
+
+    @pytest.mark.parametrize("name", sorted(OLD_SIDECARS))
+    def test_old_sidecar_keeps_its_layer_plans(self, name):
+        text, (total_params, total_mults) = OLD_SIDECARS[name]
+        want = arch.load_preset("tsn-toy") if name == "tsn-toy" else \
+            training.variant_spec(toy_spec(), True, False, False)
+        spec = arch.parse_arch(text)
+        assert spec == want
+        plans = model.layer_plans(spec)
+        assert plans == model.layer_plans(want)
+        assert [p.name for p in plans if not p.name.startswith("stage")] == ["head/fc"]
+        report = complexity.analyze(spec)
+        assert (report.total_params, report.total_mults) == (total_params, total_mults)
+
+    def test_old_toggles_true_change_nothing_and_false_restates_a_field(self):
+        toggles = "enable_superimage = true\nenable_tm = true\nenable_txb = true\n"
+        for preset in arch.PRESETS:
+            spec = arch.load_preset(preset)
+            assert arch.parse_arch(arch.format_arch(spec) + toggles) == spec
+        ordinary = dataclasses.replace(toy_spec(), head="ordinary_tconv")
+        text = arch.format_arch(ordinary) + "enable_tm = false\nenable_txb = false\n"
+        assert arch.parse_arch(text) == dataclasses.replace(ordinary, tm_after=())
+
+    def test_old_toggle_errors_name_the_key(self):
+        tsn_text = OLD_SIDECARS["tsn-toy"][0]
+        with pytest.raises(arch.SpecError, match="tsn-toy: n: must be 1"):
+            arch.parse_arch(tsn_text.replace("n = 1\n", "n = 2\n"))
+        with pytest.raises(arch.SpecError, match="enable_tm: expected a boolean, got 'off'"):
+            arch.parse_arch(tsn_text.replace("enable_tm = false", "enable_tm = off"))
+        with pytest.raises(arch.SpecError, match="tm_after: stage index 7 out of range"):
+            arch.parse_arch(tsn_text.replace("tm_after = \n", "tm_after = 7\n"))
+
+    def test_toggles_are_never_written(self):
+        for preset in arch.PRESETS:
+            assert "enable_" not in arch.format_arch(arch.load_preset(preset))
+
+    def test_pinned_benchmark_spec_equals_preset(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "stnet-toy.arch"
+        assert arch.load_arch_file(path) == arch.load_preset("stnet-toy")
 
 
 class TestMoreEdgeCases:

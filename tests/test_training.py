@@ -54,6 +54,21 @@ class TestSgd:
         with pytest.raises(ValueError, match="batch_size"):
             training.TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.1),
+        ("lr_decay", float("nan")), ("lr_decay", float("inf")), ("lr_decay", 0.0),
+        ("momentum", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("weight_decay", -5.0),
+    ])
+    def test_config_rejects_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be"):
+            training.TrainConfig(**{field: value})
+
+    def test_config_accepts_range_edges(self):
+        cfg = training.TrainConfig(momentum=0.0, weight_decay=0.0, lr_decay=1.0)
+        assert (cfg.momentum, cfg.weight_decay, cfg.lr_decay) == (0.0, 0.0, 1.0)
+
 
 class TestTrainLoop:
     def test_single_sample_overfits(self):
