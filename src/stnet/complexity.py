@@ -9,6 +9,7 @@ only the trainable scale/shift pair, never the running statistics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .model import RUNNING_STAT_SUFFIXES, layer_plans
@@ -36,18 +37,11 @@ class ComplexityReport:
     total_mults: int
 
 
-def _size(shape):
-    out = 1
-    for d in shape:
-        out *= d
-    return out
-
-
 def analyze(spec):
     """Per-layer and total parameter/multiplication counts for ``spec``."""
     rows = []
     for plan in layer_plans(spec):
-        params = sum(_size(shape) for suffix, shape in plan.params.items()
+        params = sum(math.prod(shape) for suffix, shape in plan.params.items()
                      if suffix not in RUNNING_STAT_SUFFIXES)
         rows.append(ReportRow(plan.name, plan.out_shape, params, plan.macs))
     return ComplexityReport(

@@ -169,16 +169,15 @@ def inflate_first_conv(weight2d, n):
     return np.tile(weight2d, (1, n, 1, 1)) / n
 
 
-def init_tm_block(c_in, c_out=None):
-    """Initial parameters for a temporal modeling block.
+def init_tm_block(c):
+    """Initial parameters for a temporal modeling block over ``c`` channels.
 
-    The bias-free [C_out, C_in, 3] conv weight is the constant 1/(3*C_in),
-    so each output channel starts as the mean of the 3-frame window across
+    The bias-free [C, C, 3] conv weight is the constant 1/(3*C), so each
+    output channel starts as the mean of the 3-frame window across
     channels; the batch norm starts as an identity map.
     """
-    c_out = c_in if c_out is None else c_out
-    return {"conv/w": np.full((c_out, c_in, 3), 1.0 / (3 * c_in), dtype=np.float32),
-            **{f"bn/{k}": v for k, v in _identity_bn(c_out).items()}}
+    return {"conv/w": np.full((c, c, 3), 1.0 / (3 * c), dtype=np.float32),
+            **{f"bn/{k}": v for k, v in _identity_bn(c).items()}}
 
 
 def _he(rng, shape):
@@ -232,7 +231,7 @@ def build_model(spec, seed=0):
         if plan.kind == "bn":
             arrays = _identity_bn(plan.params["alpha"][0])
         elif plan.kind == "conv3d":
-            arrays = {"w": init_tm_block(wshape[1], wshape[0])["conv/w"]}
+            arrays = {"w": init_tm_block(wshape[0])["conv/w"]}
         elif plan.name == "stage0/conv":  # the stem: a 3-channel kernel, inflated
             w3 = _he(rng, (wshape[0], 3) + wshape[2:])
             arrays = {"w": inflate_first_conv(w3, spec.n).astype(np.float32)}

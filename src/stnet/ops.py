@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, make_node
+from .tensor import NumericsError, make_node
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -72,25 +72,22 @@ def conv2d(x, weight, stride=1, padding=0):
     # sum in memory order, so the layout fixes their rounding.
     y = np.ascontiguousarray(yc.reshape(o, b_, ho, wo).transpose(1, 0, 2, 3))
 
-    out = make_node(y, (x, weight), "conv2d")
-    if out._prev:
-        def backward(g):
-            if weight.requires_grad:
-                if weight.grad is None:
-                    weight.grad = np.zeros_like(weight.data)
-                g_l = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, o)
-                for i, j, hs, ws in taps:
-                    weight.grad[:, :, i, j] += (xc[:, :, hs, ws].reshape(c, -1) @ g_l).T
-            if x.requires_grad:
-                g_c = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, -1)
-                gxc = np.zeros_like(xc)
-                for i, j, hs, ws in taps:
-                    gxc[:, :, hs, ws] += (weight.data[:, :, i, j].T @ g_c).reshape(
-                        c, b_, ho, wo)
-                x.accumulate_grad(gxc[:, :, padding:padding + h,
-                                      padding:padding + w].transpose(1, 0, 2, 3))
-        out._backward = backward
-    return out
+    def backward(g):
+        if weight.requires_grad:
+            g_l = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, o)
+            gw = np.empty(weight.shape, g.dtype)    # every tap slice is written once
+            for i, j, hs, ws in taps:
+                gw[:, :, i, j] = (xc[:, :, hs, ws].reshape(c, -1) @ g_l).T
+            weight.accumulate_grad(gw)
+        if x.requires_grad:
+            g_c = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, -1)
+            gxc = np.zeros_like(xc)
+            for i, j, hs, ws in taps:
+                gxc[:, :, hs, ws] += (weight.data[:, :, i, j].T @ g_c).reshape(
+                    c, b_, ho, wo)
+            x.accumulate_grad(gxc[:, :, padding:padding + h,
+                                  padding:padding + w].transpose(1, 0, 2, 3))
+    return make_node(y, (x, weight), "conv2d", backward)
 
 
 def temporal_conv3(x, weight, bias=None):
@@ -145,25 +142,23 @@ def temporal_conv3(x, weight, bias=None):
     if squeeze:
         y = y[0]
 
-    out = make_node(y, (x, weight) if bias is None else (x, weight, bias), "temporal_conv3")
-    if out._prev:
-        def backward(g):
-            gb = g[None] if squeeze else g
-            if weight.requires_grad:
-                weight.accumulate_grad(np.stack(
-                    [np.einsum(f"{ysub},btc...->{wsub}", gb, xp[:, k:k + t], optimize=True)
-                     for k in range(3)], axis=-1))
-            if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for k in range(3):
-                    gxp[:, k:k + t] += np.einsum(f"{ysub},{wsub}->btc...", gb,
-                                                 weight.data[..., k], optimize=True)
-                gx = gxp[:, 1:t + 1]
-                x.accumulate_grad(gx[0] if squeeze else gx)
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(gb.sum(axis=(0, 1) + tuple(range(3, gb.ndim))))
-        out._backward = backward
-    return out
+    def backward(g):
+        gb = g[None] if squeeze else g
+        if weight.requires_grad:
+            weight.accumulate_grad(np.stack(
+                [np.einsum(f"{ysub},btc...->{wsub}", gb, xp[:, k:k + t], optimize=True)
+                 for k in range(3)], axis=-1))
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for k in range(3):
+                gxp[:, k:k + t] += np.einsum(f"{ysub},{wsub}->btc...", gb,
+                                             weight.data[..., k], optimize=True)
+            gx = gxp[:, 1:t + 1]
+            x.accumulate_grad(gx[0] if squeeze else gx)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(gb.sum(axis=(0, 1) + tuple(range(3, gb.ndim))))
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return make_node(y, parents, "temporal_conv3", backward)
 
 
 def linear(x, weight, bias):
@@ -180,18 +175,16 @@ def linear(x, weight, bias):
     co = weight.shape[0]
     _require(bias.shape == (co,), f"linear bias must have shape ({co},)")
 
-    out = make_node(x.data @ weight.data.T + bias.data, (x, weight, bias), "linear")
-    if out._prev:
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate_grad(g @ weight.data)
-            g2 = g.reshape(-1, co)
-            if weight.requires_grad:
-                weight.accumulate_grad(g2.T @ x.data.reshape(-1, ci))
-            if bias.requires_grad:
-                bias.accumulate_grad(g2.sum(axis=0))
-        out._backward = backward
-    return out
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ weight.data)
+        g2 = g.reshape(-1, co)
+        if weight.requires_grad:
+            weight.accumulate_grad(g2.T @ x.data.reshape(-1, ci))
+        if bias.requires_grad:
+            bias.accumulate_grad(g2.sum(axis=0))
+    return make_node(x.data @ weight.data.T + bias.data, (x, weight, bias), "linear",
+                     backward)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +214,8 @@ def batch_norm(x, alpha, beta, running_mean, running_var, axis, training):
         mu = x.data.mean(axis=reduce_axes)
         xc = x.data - mu.reshape(bshape)
         var = np.mean(xc * xc, axis=reduce_axes)
+        if not np.all(np.isfinite(var)):    # also catches a non-finite mean
+            raise NumericsError("non-finite batch statistics in op 'batch_norm'")
         running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1 - BN_MOMENTUM) * mu
         running_var.data[...] = BN_MOMENTUM * running_var.data + (1 - BN_MOMENTUM) * var
         inv = 1.0 / np.sqrt(var + BN_EPS)
@@ -230,24 +225,22 @@ def batch_norm(x, alpha, beta, running_mean, running_var, axis, training):
         xhat = (x.data - running_mean.data.reshape(bshape)) * inv.reshape(bshape)
 
     y = xhat * alpha.data.reshape(bshape) + beta.data.reshape(bshape)
-    out = make_node(y, (x, alpha, beta), "batch_norm")
-    if out._prev:
-        def backward(g):
-            if alpha.requires_grad:
-                alpha.accumulate_grad(np.sum(g * xhat, axis=reduce_axes))
-            if beta.requires_grad:
-                beta.accumulate_grad(g.sum(axis=reduce_axes))
-            if x.requires_grad:
-                ga = g * alpha.data.reshape(bshape)
-                if training:
-                    s1 = ga.sum(axis=reduce_axes).reshape(bshape)
-                    s2 = np.sum(ga * xhat, axis=reduce_axes).reshape(bshape)
-                    gx = (inv.reshape(bshape) / n) * (n * ga - s1 - xhat * s2)
-                else:
-                    gx = ga * inv.reshape(bshape)
-                x.accumulate_grad(gx)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        if alpha.requires_grad:
+            alpha.accumulate_grad(np.sum(g * xhat, axis=reduce_axes))
+        if beta.requires_grad:
+            beta.accumulate_grad(g.sum(axis=reduce_axes))
+        if x.requires_grad:
+            ga = g * alpha.data.reshape(bshape)
+            if training:
+                s1 = ga.sum(axis=reduce_axes).reshape(bshape)
+                s2 = np.sum(ga * xhat, axis=reduce_axes).reshape(bshape)
+                gx = (inv.reshape(bshape) / n) * (n * ga - s1 - xhat * s2)
+            else:
+                gx = ga * inv.reshape(bshape)
+            x.accumulate_grad(gx)
+    return make_node(y, (x, alpha, beta), "batch_norm", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +249,10 @@ def batch_norm(x, alpha, beta, running_mean, running_var, axis, training):
 
 def relu(x):
     mask = x.data > 0
-    out = make_node(np.where(mask, x.data, 0), (x,), "relu")
-    if out._prev:
-        def backward(g):
-            x.accumulate_grad(g * mask)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        x.accumulate_grad(g * mask)
+    return make_node(np.where(mask, x.data, 0), (x,), "relu", backward)
 
 
 def temporal_max_pool(x):
@@ -274,15 +265,13 @@ def temporal_max_pool(x):
     _require(x.shape[taxis] >= 1, "temporal_max_pool requires T >= 1")
     idx = np.argmax(x.data, axis=taxis)
     y = np.take_along_axis(x.data, np.expand_dims(idx, taxis), axis=taxis)
-    out = make_node(np.squeeze(y, axis=taxis), (x,), "temporal_max_pool")
-    if out._prev:
-        def backward(g):
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, np.expand_dims(idx, taxis),
-                              np.expand_dims(g, taxis), axis=taxis)
-            x.accumulate_grad(gx)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, np.expand_dims(idx, taxis),
+                          np.expand_dims(g, taxis), axis=taxis)
+        x.accumulate_grad(gx)
+    return make_node(np.squeeze(y, axis=taxis), (x,), "temporal_max_pool", backward)
 
 
 def max_pool2d(x, kernel=3, stride=2, padding=1):
@@ -302,32 +291,27 @@ def max_pool2d(x, kernel=3, stride=2, padding=1):
     idx = np.argmax(win, axis=-1)
     y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
-    out = make_node(y, (x,), "max_pool2d")
-    if out._prev:
-        def backward(g):
-            gxp = np.zeros_like(xp)
-            ii, jj = np.unravel_index(idx, (kernel, kernel))
-            bi, ci, hi, wi = np.indices(idx.shape)
-            rows = hi * stride + ii
-            cols = wi * stride + jj
-            np.add.at(gxp, (bi, ci, rows, cols), g)
-            x.accumulate_grad(gxp[:, :, padding:padding + h, padding:padding + w]
-                              if padding else gxp)
-        out._backward = backward
-    return out
+    def backward(g):
+        gxp = np.zeros_like(xp)
+        ii, jj = np.unravel_index(idx, (kernel, kernel))
+        bi, ci, hi, wi = np.indices(idx.shape)
+        rows = hi * stride + ii
+        cols = wi * stride + jj
+        np.add.at(gxp, (bi, ci, rows, cols), g)
+        x.accumulate_grad(gxp[:, :, padding:padding + h, padding:padding + w]
+                          if padding else gxp)
+    return make_node(y, (x,), "max_pool2d", backward)
 
 
 def softmax(x, axis=-1):
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = make_node(s, (x,), "softmax")
-    if out._prev:
-        def backward(g):
-            dot = np.sum(g * s, axis=axis, keepdims=True)
-            x.accumulate_grad(s * (g - dot))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        dot = np.sum(g * s, axis=axis, keepdims=True)
+        x.accumulate_grad(s * (g - dot))
+    return make_node(s, (x,), "softmax", backward)
 
 
 def mean_over(x, axis):
@@ -338,13 +322,10 @@ def mean_over(x, axis):
     """
     axes = axis if isinstance(axis, tuple) else (axis,)
     n = int(np.prod([x.shape[a] for a in axes]))
-    out = make_node(x.data.mean(axis=axis), (x,), "mean_over")
-    if out._prev:
-        def backward(g):
-            x.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis),
-                                              x.data.shape) / n)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        x.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), x.data.shape) / n)
+    return make_node(x.data.mean(axis=axis), (x,), "mean_over", backward)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -361,13 +342,10 @@ def softmax_cross_entropy(logits, labels):
         raise ValueError(f"label out of range [0, {k})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -logp[np.arange(b_), labels].mean()
-    out = make_node(np.asarray(loss, dtype=logits.dtype), (logits,), "softmax_cross_entropy")
-    if out._prev:
-        p = np.exp(logp)
-        def backward(g):
-            gl = p.copy()
-            gl[np.arange(b_), labels] -= 1.0
-            logits.accumulate_grad(gl * (g / b_))
-        out._backward = backward
-    return out
+    loss = np.asarray(-logp[np.arange(b_), labels].mean(), dtype=logits.dtype)
+
+    def backward(g):
+        gl = np.exp(logp)
+        gl[np.arange(b_), labels] -= 1.0
+        logits.accumulate_grad(gl * (g / b_))
+    return make_node(loss, (logits,), "softmax_cross_entropy", backward)

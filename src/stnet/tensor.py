@@ -137,22 +137,18 @@ class Tensor:
 
     def reshape(self, shape):
         src_shape = self.data.shape
-        out = make_node(self.data.reshape(shape), (self,), "reshape")
-        if out._prev:
-            def backward(g, x=self):
-                x.accumulate_grad(g.reshape(src_shape))
-            out._backward = backward
-        return out
+
+        def backward(g):
+            self.accumulate_grad(g.reshape(src_shape))
+        return make_node(self.data.reshape(shape), (self,), "reshape", backward)
 
     def transpose(self, axes):
         axes = tuple(axes)
         inv = tuple(int(i) for i in np.argsort(axes))
-        out = make_node(self.data.transpose(axes), (self,), "transpose")
-        if out._prev:
-            def backward(g, x=self):
-                x.accumulate_grad(g.transpose(inv))
-            out._backward = backward
-        return out
+
+        def backward(g):
+            self.accumulate_grad(g.transpose(inv))
+        return make_node(self.data.transpose(axes), (self,), "transpose", backward)
 
     def __add__(self, other):
         if not isinstance(other, Tensor):
@@ -160,23 +156,21 @@ class Tensor:
         if self.data.shape != other.data.shape:
             raise ValueError(
                 f"add shape mismatch: {self.data.shape} vs {other.data.shape}")
-        out = make_node(self.data + other.data, (self, other), "add")
-        if out._prev:
-            def backward(g, a=self, b=other):
-                if a.requires_grad:
-                    a.accumulate_grad(g)
-                if b.requires_grad:
-                    b.accumulate_grad(g)
-            out._backward = backward
-        return out
+
+        def backward(g):
+            if self.requires_grad:
+                self.accumulate_grad(g)
+            if other.requires_grad:
+                other.accumulate_grad(g)
+        return make_node(self.data + other.data, (self, other), "add", backward)
 
 
-def make_node(data, parents, op):
+def make_node(data, parents, op, backward):
     """Wrap an op result, verifying finiteness and wiring the graph.
 
-    The caller attaches ``_backward`` afterwards when any parent needs
-    gradients (``_prev`` is only populated in that case, so inference
-    builds no graph).
+    ``backward(g)`` routes the output gradient ``g`` to the parents. The
+    node keeps it, and its parents, only when some parent needs a
+    gradient, so inference builds no graph.
     """
     if not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by op '{op}'")
@@ -186,5 +180,5 @@ def make_node(data, parents, op):
     t.grad = None
     t.op = op
     t._prev = tuple(parents) if t.requires_grad else ()
-    t._backward = None
+    t._backward = backward if t.requires_grad else None
     return t

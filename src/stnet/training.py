@@ -222,44 +222,56 @@ def variant_spec(base, superimage, tm, txb):
 
 
 def run_ablation(train_clips, eval_clips, base_spec, cfg, log=None):
-    """Train all four toggle variants with identical config and seed.
+    """Train each distinct toggle variant once, with identical config and seed.
 
-    Returns one row per variant: toggles, metrics, and final loss.
+    Returns one row per ``ABLATION_ROWS`` entry: toggles, metrics, final
+    loss and ``same_as``. A row that is the same network as an earlier one
+    reuses its run, and ``same_as`` names that row's spec (else None).
     """
     results = []
+    trained = {}    # variant spec with its name blanked -> the row that trained it
     for toggles in ABLATION_ROWS:
         spec = variant_spec(base_spec, **toggles)
+        key = dataclasses.replace(spec, name="")
+        row = {"toggles": dict(toggles), "spec_name": spec.name, "same_as": None}
+        if key in trained:
+            first = trained[key]
+            results.append({**first, **row, "same_as": first["spec_name"]})
+            if log:
+                log(f"{spec.name} is the same network as {first['spec_name']}")
+            continue
         m = model_mod.build_model(spec, seed=cfg.seed)
         if log:
-            log(f"training {spec.name} "
-                f"({m.num_parameters():,} trainable values)")
+            log(f"training {spec.name} ({m.num_parameters():,} trainable values)")
         history = train(m, train_clips, cfg, log=log)
         metrics = evaluate(m, eval_clips)
-        results.append({"toggles": dict(toggles), "spec_name": spec.name,
-                        "metrics": metrics, "final_loss": history.final_loss})
+        row.update(metrics=metrics, final_loss=history.final_loss)
+        results.append(row)
+        trained[key] = row
         if log:
-            log(f"  top1={metrics.top1:.3f} "
-                f"mean_class={metrics.mean_class_accuracy:.3f}")
+            log(f"  top1={metrics.top1:.3f} mean_class={metrics.mean_class_accuracy:.3f}")
     return results
 
 
 def ablation_table(results):
-    """Plain-text table shaped like the component-toggle comparison."""
+    """Plain-text component-toggle table; a repeated network ends in "= row N"."""
     lines = ["superimage  tm   txb  top1    mean_class",
              "----------  ---  ---  ------  ----------"]
+    names = [row["spec_name"] for row in results]
     for row in results:
         t = row["toggles"]
         m = row["metrics"]
+        same = f"  = row {names.index(row['same_as']) + 1}" if row["same_as"] else ""
         lines.append(f"{'on' if t['superimage'] else 'off':>10}  "
                      f"{'on' if t['tm'] else 'off':>3}  "
                      f"{'on' if t['txb'] else 'off':>3}  "
-                     f"{m.top1:6.3f}  {m.mean_class_accuracy:10.3f}")
+                     f"{m.top1:6.3f}  {m.mean_class_accuracy:10.3f}{same}")
     return "\n".join(lines)
 
 
 def ablation_json(results):
     return json.dumps([{**{"toggles": r["toggles"], "spec": r["spec_name"],
-                           "final_loss": r["final_loss"]},
+                           "final_loss": r["final_loss"], "same_as": r["same_as"]},
                         **r["metrics"].to_dict()} for r in results], indent=2)
 
 

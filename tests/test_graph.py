@@ -731,6 +731,52 @@ class TestGraphRelease:
         assert np.array_equal(x.grad, before)
 
 
+def _bn_train(x, alpha, beta):
+    c = x.shape[1]
+    return ops.batch_norm(x, alpha, beta, Tensor(np.zeros(c)), Tensor(np.ones(c)),
+                          axis=1, training=True)
+
+
+# Each differentiable op, called on tensors of the given input shapes.
+GRAPH_RULE_CASES = {
+    "conv2d": (lambda x, w: ops.conv2d(x, w, padding=1), [(2, 3, 4, 4), (2, 3, 3, 3)]),
+    "temporal_conv3": (ops.temporal_conv3, [(2, 3, 4), (5, 4, 3), (5,)]),
+    "linear": (ops.linear, [(2, 4), (3, 4), (3,)]),
+    "batch_norm": (_bn_train, [(4, 3, 2), (3,), (3,)]),
+    "relu": (ops.relu, [(2, 3)]),
+    "temporal_max_pool": (ops.temporal_max_pool, [(2, 3, 4)]),
+    "max_pool2d": (ops.max_pool2d, [(1, 2, 4, 4)]),
+    "softmax": (ops.softmax, [(2, 3)]),
+    "mean_over": (lambda x: ops.mean_over(x, (2, 3)), [(2, 3, 2, 2)]),
+    "softmax_cross_entropy": (lambda z: ops.softmax_cross_entropy(z, np.array([0, 2])),
+                              [(2, 3)]),
+    "reshape": (lambda x: x.reshape((3, 2)), [(2, 3)]),
+    "transpose": (lambda x: x.transpose((1, 0)), [(2, 3)]),
+    "add": (lambda a, b: a + b, [(2, 3), (2, 3)]),
+}
+
+
+class TestGraphRule:
+    def test_every_public_op_has_a_case(self):
+        public = {name for name, fn in vars(ops).items()
+                  if callable(fn) and not name.startswith("_") and not isinstance(fn, type)
+                  and fn.__module__ == ops.__name__}
+        assert public == set(GRAPH_RULE_CASES) - {"reshape", "transpose", "add"}
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_RULE_CASES))
+    def test_node_kept_only_when_an_input_needs_grad(self, name):
+        fn, shapes = GRAPH_RULE_CASES[name]
+        rng = np.random.default_rng(41)
+        data = [rng.standard_normal(s) for s in shapes]
+        out = fn(*[Tensor(d) for d in data])
+        assert out._backward is None and out._prev == () and not out.requires_grad
+        for k in range(len(data)):
+            args = [Tensor(d, requires_grad=i == k) for i, d in enumerate(data)]
+            out = fn(*args)
+            assert callable(out._backward) and out._prev and out.requires_grad, k
+            assert any(p is args[k] for p in out._prev), k
+
+
 class TestPlanGeometry:
     @pytest.mark.parametrize("preset", arch.PRESETS)
     def test_executed_geometry_matches_plans(self, preset, monkeypatch):

@@ -215,6 +215,19 @@ class TestBatchNorm:
             ops.batch_norm(t64(np.zeros((0, 2))), p["alpha"], p["beta"],
                            p["mean"], p["var"], axis=1, training=True)
 
+    def test_non_finite_batch_statistics_raise_before_running_update(self):
+        # float32 entries near 1e20 overflow xc*xc, so the batch variance is
+        # inf: the op must raise, not return beta and store inf running stats.
+        x = Tensor(np.array([[1e20, 1.0], [-1e20, 2.0]], dtype=np.float32))
+        p = {k: Tensor(t.data.astype(np.float32)) for k, t in self._params(2).items()}
+        before = {k: p[k].data.tobytes() for k in ("mean", "var")}
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericsError,
+                               match="non-finite batch statistics in op 'batch_norm'"):
+                ops.batch_norm(x, p["alpha"], p["beta"], p["mean"], p["var"],
+                               axis=1, training=True)
+        assert {k: p[k].data.tobytes() for k in ("mean", "var")} == before
+
     def test_infer_mode_is_affine(self):
         rng = np.random.default_rng(13)
         p = self._params(3, alpha=rng.standard_normal(3),

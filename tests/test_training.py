@@ -1,5 +1,7 @@
 """Optimizer semantics, training loop behavior, evaluation, toggles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,18 @@ class TestTrainLoop:
             with pytest.raises(training.DivergenceError, match="epoch"):
                 training.train(m, clips, cfg)
 
+    def test_divergence_in_batch_norm_leaves_running_stats_finite(self):
+        # At lr 1e4 the batch variance of step 2 overflows in the stem's batch
+        # norm, which used to store inf running statistics and fail later.
+        m = model.build_model(arch.load_preset("stnet-toy"), seed=0)
+        clips = data.gen_synthetic(data.SynthConfig(clips_per_class=8, seed=0))
+        cfg = training.TrainConfig(epochs=1, batch_size=16, lr=1e4, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(training.DivergenceError, match="op 'batch_norm'"):
+                training.train(m, clips, cfg)
+        for name, t in m.params.items():
+            assert np.all(np.isfinite(t.data)), name
+
     def test_empty_dataset(self):
         m = model.build_model(micro_spec(), seed=0)
         with pytest.raises(ValueError, match="empty"):
@@ -201,6 +215,34 @@ class TestAblation:
         import json
         doc = json.loads(training.ablation_json(results))
         assert len(doc) == 4 and doc[3]["toggles"]["txb"] is True
+
+    @pytest.mark.parametrize("overrides, same_as", [
+        (dict(n=1, tm_after=(), head="avg_score"), [None, 0, 0, 0]),   # tsn-like
+        (dict(head="ordinary_tconv"), [None, None, None, 2]),
+    ])
+    def test_repeated_variants_train_once(self, overrides, same_as, monkeypatch):
+        calls = []
+        train = training.train
+
+        def counting_train(m, *args, **kwargs):
+            calls.append(m.spec.name)
+            return train(m, *args, **kwargs)
+        monkeypatch.setattr(training, "train", counting_train)
+        clips = micro_clips(per_class=2, seed=12)
+        cfg = training.TrainConfig(epochs=1, batch_size=4, lr=0.01, seed=12)
+        results = training.run_ablation(clips, clips, micro_spec(**overrides), cfg)
+        assert len(calls) == same_as.count(None)
+        names = [r["spec_name"] for r in results]
+        assert [r["same_as"] for r in results] == [
+            None if i is None else names[i] for i in same_as]
+        for r, i in zip(results, same_as):
+            if i is not None:
+                assert r["metrics"] is results[i]["metrics"]
+                assert r["final_loss"] == results[i]["final_loss"]
+        table = training.ablation_table(results)
+        assert table.count("\n") == 5 and table.count("= row") == len(results) - len(calls)
+        doc = json.loads(training.ablation_json(results))
+        assert [d["same_as"] for d in doc] == [r["same_as"] for r in results]
 
     def test_variant_spec_parameter_counts_differ(self):
         from stnet import complexity
