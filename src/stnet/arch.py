@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import typing
 from dataclasses import dataclass
 from importlib import resources
 
@@ -28,8 +29,8 @@ class StageSpec:
     """One backbone stage: a plain conv or a run of residual blocks.
 
     ``kernel``/``pool`` only apply to plain-conv stages (7x7 stem with a
-    following 3x3/2 max pool for the large presets). The stage stride is
-    applied by the first block.
+    following 3x3/2 max pool for the large presets), which run once. The
+    stage stride is applied by the first block.
     """
     kind: str
     channels: int
@@ -47,8 +48,8 @@ class ArchSpec:
     height: int
     width: int
     num_classes: int
-    stages: tuple = ()
-    tm_after: tuple = ()        # stage indices followed by a temporal block
+    stages: tuple[StageSpec, ...] = ()
+    tm_after: tuple[int, ...] = ()  # stage indices followed by a temporal block
     head: str = "txb"
     txb_channels: int = 1024
     feature_dim: int = 0        # >0: head-only spec fed a [B,T,C] sequence
@@ -63,6 +64,8 @@ def validate(spec):
     def bad(fieldname, msg):
         raise SpecError(f"{spec.name or '<spec>'}: {fieldname}: {msg}")
 
+    if "#" in spec.name or spec.name.strip() != spec.name or len(spec.name.splitlines()) > 1:
+        bad("name", "must have no '#', line break or outer whitespace")
     if spec.t < 1:
         bad("t", "must be >= 1")
     if spec.n < 1:
@@ -92,6 +95,16 @@ def validate(spec):
             bad(f"stages[{i}].repeat", "must be >= 1")
         if st.kind == "bottleneck" and st.channels % 4:
             bad(f"stages[{i}].channels", "bottleneck channels must be divisible by 4")
+        if st.kind == "conv":
+            if st.kernel < 1:
+                bad(f"stages[{i}].kernel", "must be >= 1")
+            if st.repeat != 1:
+                bad(f"stages[{i}].repeat", "a conv stage runs once")
+        else:
+            plain = StageSpec(st.kind, st.channels)
+            for name in ("kernel", "pool"):
+                if getattr(st, name) != getattr(plain, name):
+                    bad(f"stages[{i}].{name}", "applies to conv stages only")
     for i in spec.tm_after:
         if not 0 <= i < len(spec.stages):
             bad("tm_after", f"stage index {i} out of range")
@@ -120,25 +133,23 @@ def with_overrides(spec, t=None, n=None, res=None, num_classes=None):
 _BOOLS = {"true": True, "false": False, "1": True, "0": False,
           "yes": True, "no": False}
 
-_SCALAR_KEYS = {
-    "name": str, "t": int, "n": int, "height": int, "width": int,
-    "num_classes": int, "head": str, "txb_channels": int, "feature_dim": int,
-    "tm_after": (int,),
-}
-_STAGE_KEYS = {"kind": str, "channels": int, "stride": int, "repeat": int,
-               "kernel": int, "pool": bool}
+
+def _list_of(typ):
+    """``T`` for a ``tuple[T, ...]`` annotation, else None."""
+    return typing.get_args(typ)[0] if typing.get_origin(typ) is tuple else None
+
+
+def _field_types(cls):
+    """``{name: type}`` of the fields of ``cls`` that a key sets (not ``ArchSpec.stages``)."""
+    return {name: typ for name, typ in typing.get_type_hints(cls).items()
+            if (_list_of(typ) or typ) in (bool, int, float, str)}
 
 
 def coerce(key, raw, typ):
-    """``raw`` parsed as ``typ``: bool, int, float or str.
-
-    A one-element tuple type such as ``(int,)`` parses a comma-separated
-    list of that type (empty items are skipped). A malformed value
-    raises SpecError naming ``key``.
-    """
+    """``raw`` parsed as ``typ``; ``tuple[T, ...]`` reads a comma list, empty items skipped."""
     raw = raw.strip()
-    if isinstance(typ, tuple):
-        return tuple(coerce(key, s, typ[0]) for s in raw.split(",") if s.strip())
+    if _list_of(typ):
+        return tuple(coerce(key, s, _list_of(typ)) for s in raw.split(",") if s.strip())
     if typ is bool:
         if raw.lower() not in _BOOLS:
             raise SpecError(f"{key}: expected a boolean, got {raw!r}")
@@ -150,6 +161,21 @@ def coerce(key, raw, typ):
             kind = "an integer" if typ is int else "a number"
             raise SpecError(f"{key}: expected {kind}, got {raw!r}") from None
     return raw
+
+
+def read_fields(cls, pairs, prefix=""):
+    """Keyword arguments for dataclass ``cls`` from ``(field, raw)`` pairs, typed by annotation.
+
+    An unknown field or a malformed value raises SpecError naming ``prefix + field``.
+    """
+    types = _field_types(cls)
+    kwargs = {}
+    for key, raw in pairs:
+        if key not in types:
+            raise SpecError(f"unknown key {prefix + key!r} for {cls.__name__}; "
+                            f"known: {', '.join(sorted(types))}")
+        kwargs[key] = coerce(prefix + key, raw, types[key])
+    return kwargs
 
 
 def read_kv_lines(text):
@@ -173,44 +199,43 @@ def read_kv_lines(text):
 def parse_arch(text, name_hint=""):
     """Parse the flat key=value format into a validated ArchSpec.
 
-    Older files' ``enable_*`` toggles are read, never written: ``false``
-    requires ``n = 1``, empties ``tm_after`` or makes a txb head avg_score.
+    ``stages.<i>.<field>`` keys set stage ``i``. Older files' ``enable_*``
+    toggles are read, never written: ``false`` requires ``n = 1``, empties
+    ``tm_after`` or makes a txb head avg_score.
     """
-    scalars = {}
+    pairs = []
     toggles = {}
-    stage_fields = {}
+    stage_pairs = {}
     for key, raw in read_kv_lines(text):
-        if key in _SCALAR_KEYS:
-            scalars[key] = coerce(key, raw, _SCALAR_KEYS[key])
-        elif key in ("enable_superimage", "enable_tm", "enable_txb"):
+        if key in ("enable_superimage", "enable_tm", "enable_txb"):
             toggles[key] = coerce(key, raw, bool)
         elif key.startswith("stages."):
             parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _STAGE_KEYS:
+            if len(parts) != 3:
                 raise SpecError(f"unknown key {key!r}")
             try:
                 idx = int(parts[1])
             except ValueError:
                 raise SpecError(f"{key}: stage index must be an integer") from None
-            stage_fields.setdefault(idx, {})[parts[2]] = coerce(
-                key, raw, _STAGE_KEYS[parts[2]])
+            stage_pairs.setdefault(idx, []).append((parts[2], raw))
         else:
-            raise SpecError(f"unknown key {key!r}")
+            pairs.append((key, raw))
+    fields = read_fields(ArchSpec, pairs)
 
     stages = []
-    for idx in range(len(stage_fields)):
-        if idx not in stage_fields:
+    for idx in range(len(stage_pairs)):
+        if idx not in stage_pairs:
             raise SpecError(f"stages: missing index {idx}")
-        f = stage_fields[idx]
+        f = read_fields(StageSpec, stage_pairs[idx], prefix=f"stages.{idx}.")
         if "kind" not in f or "channels" not in f:
             raise SpecError(f"stages.{idx}: kind and channels are required")
         stages.append(StageSpec(**f))
 
     for required in ("t", "n", "height", "width", "num_classes"):
-        if required not in scalars:
+        if required not in fields:
             raise SpecError(f"{required}: missing")
-    scalars.setdefault("name", name_hint)
-    spec = validate(ArchSpec(stages=tuple(stages), **scalars))
+    fields.setdefault("name", name_hint)
+    spec = validate(ArchSpec(stages=tuple(stages), **fields))
     if not toggles.get("enable_superimage", True) and spec.n != 1:
         raise SpecError(f"{spec.name or '<spec>'}: n: must be 1 when "
                         "enable_superimage is false")
@@ -221,24 +246,17 @@ def parse_arch(text, name_hint=""):
     return spec
 
 
+def _format_value(v):
+    if isinstance(v, tuple):
+        return ",".join(map(_format_value, v))
+    return str(v).lower() if isinstance(v, bool) else str(v)
+
+
 def format_arch(spec):
-    """Render a spec in the flat key=value format (inverse of parse_arch)."""
-    lines = [f"name = {spec.name}"]
-    for key in ("t", "n", "height", "width", "num_classes", "head",
-                "txb_channels"):
-        lines.append(f"{key} = {getattr(spec, key)}")
-    if spec.feature_dim:
-        lines.append(f"feature_dim = {spec.feature_dim}")
-    lines.append(f"tm_after = {','.join(str(i) for i in spec.tm_after)}")
-    for i, st in enumerate(spec.stages):
-        lines.append(f"stages.{i}.kind = {st.kind}")
-        lines.append(f"stages.{i}.channels = {st.channels}")
-        lines.append(f"stages.{i}.stride = {st.stride}")
-        lines.append(f"stages.{i}.repeat = {st.repeat}")
-        if st.kind == "conv":
-            lines.append(f"stages.{i}.kernel = {st.kernel}")
-            lines.append(f"stages.{i}.pool = {'true' if st.pool else 'false'}")
-    return "\n".join(lines) + "\n"
+    """Render every field of a spec in the flat key=value format (inverse of parse_arch)."""
+    groups = [("", spec)] + [(f"stages.{i}.", st) for i, st in enumerate(spec.stages)]
+    return "".join(f"{prefix}{name} = {_format_value(getattr(obj, name))}\n"
+                   for prefix, obj in groups for name in _field_types(type(obj)))
 
 
 def load_arch_file(path):

@@ -8,7 +8,6 @@ Option precedence is flags over config file over defaults; the
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -16,12 +15,7 @@ import sys
 from . import arch, checkpoint, complexity, data, gradcheck, model, training
 
 GRAD_TOL = 1e-4
-
-
-# Element types of the comma-list config keys; other keys take the type
-# their dataclass field is annotated with.
-_LIST_KEYS = {"classes": (str,), "lr_steps": (int,)}
-_FIELD_TYPES = {"int": int, "float": float}
+SPEC_HELP = f"preset ({', '.join(arch.PRESETS)}) or .arch file"
 
 
 def _load_config(cls, path):
@@ -30,18 +24,10 @@ def _load_config(cls, path):
         return {}
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    kwargs = {}
     try:
-        for key, raw in arch.read_kv_lines(text):
-            if key not in fields:
-                raise arch.SpecError(f"unknown key {key!r} for {cls.__name__}; "
-                                     f"known: {', '.join(sorted(fields))}")
-            typ = _LIST_KEYS.get(key) or _FIELD_TYPES.get(fields[key], str)
-            kwargs[key] = arch.coerce(key, raw, typ)
+        return arch.read_fields(cls, arch.read_kv_lines(text))
     except arch.SpecError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return kwargs
 
 
 def _resolve_seed(flag_seed, file_kwargs):
@@ -150,6 +136,19 @@ def cmd_ablate(args):
     return 0
 
 
+def _add_train_flags(p, func, out_help):
+    """The flags that ``train`` and ``ablate`` share."""
+    p.add_argument("--spec", required=True, help=SPEC_HELP)
+    p.add_argument("--data", required=True)
+    p.add_argument("--config", help="key=value training config file")
+    p.add_argument("--out", required=True, help=out_help)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func=func)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stnet",
@@ -158,8 +157,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="print a parameter/multiplication report")
-    p.add_argument("--spec", required=True,
-                   help=f"preset ({', '.join(arch.PRESETS)}) or .arch file")
+    p.add_argument("--spec", required=True, help=SPEC_HELP)
     p.add_argument("--t", type=int, help="override snippet count")
     p.add_argument("--n", type=int, help="override frames per snippet")
     p.add_argument("--res", type=int, help="override square input resolution")
@@ -173,16 +171,8 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model on a dataset file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", help="key=value training config file")
-    p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_train)
+    _add_train_flags(sub.add_parser("train", help="train a model on a dataset file"),
+                     cmd_train, "checkpoint output path")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("--model", required=True,
@@ -197,16 +187,8 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="train and compare all component toggles")
-    p.add_argument("--data", required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True, help="JSON report output path")
-    p.add_argument("--config", help="key=value training config file")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_ablate)
+    _add_train_flags(sub.add_parser("ablate", help="train and compare all component toggles"),
+                     cmd_ablate, "JSON report output path")
     return parser
 
 

@@ -122,7 +122,7 @@ def make_batch(clips, cfg, seed=0):
 
 @dataclass
 class SynthConfig:
-    classes: tuple = SYNTH_CLASSES
+    classes: tuple[str, ...] = SYNTH_CLASSES
     clips_per_class: int = 200
     frames: int = 16
     height: int = 32

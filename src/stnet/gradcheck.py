@@ -22,10 +22,12 @@ def grad_check(fn, inputs, step=1e-5, seed=0):
     """Max relative error between analytic and numeric gradients.
 
     ``fn`` maps the given double-precision Tensors to one output Tensor.
-    The output is projected to a scalar with fixed random weights so the
-    whole Jacobian is exercised. Returns
-    max |analytic - numeric| / max(|analytic|, |numeric|, 1e-8) over every
-    element of every input.
+    The output is projected to a scalar ``f = sum(out * w)`` with fixed
+    random weights so the whole Jacobian is exercised. Each evaluation of
+    ``f`` is rounded by up to about ``eps * sum|out * w|``, so the central
+    difference carries a roundoff of ``r = eps * sum|out * w| / h``. Returns
+    max max(|analytic - numeric| - r, 0) / max(|analytic|, |numeric|, 1e-8)
+    over every element of every input.
     """
     name = getattr(fn, "__name__", "op")
     for t in inputs:
@@ -38,6 +40,7 @@ def grad_check(fn, inputs, step=1e-5, seed=0):
         raise GradCheckFailure(f"non-finite forward value in '{name}': {exc}") from exc
     w = np.random.default_rng(seed).standard_normal(out.shape)
     out.backward(w)
+    roundoff = np.finfo(np.float64).eps * float(np.sum(np.abs(out.data * w)))
 
     # Detached views share the data buffers, so the in-place perturbation
     # below shows through them, and the two forwards per element build no graph.
@@ -65,7 +68,7 @@ def grad_check(fn, inputs, step=1e-5, seed=0):
                 flat[i] = orig
             numeric = (fp - fm) / (2 * h)
             a = analytic.reshape(-1)[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            err = max(abs(a - numeric) - roundoff / h, 0.0) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, err)
     return worst
 

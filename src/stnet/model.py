@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arch, ops
-from .tensor import Tensor
+from .tensor import NumericsError, Tensor
 
 BN_PARAM_SUFFIXES = ("alpha", "beta", "mean", "var")
 RUNNING_STAT_SUFFIXES = ("mean", "var")
@@ -51,6 +51,11 @@ class Block:
     pairs: tuple
     down: tuple = None
     pool: bool = False
+
+    @property
+    def name(self):
+        """The block's plan-name prefix: ``stage0``, ``stage2/block0`` or ``tm3``."""
+        return self.pairs[0][0].name.rsplit("/", 1)[0]
 
 
 def _conv_out(size, kernel, stride, padding):
@@ -323,7 +328,8 @@ def forward(model, batch):
     specs take a [B,T,C] feature sequence. The avg_score head returns
     averaged per-snippet softmax scores (so its output is
     permutation-invariant over snippets); the other heads return raw
-    fc outputs.
+    fc outputs. A NumericsError is re-raised with the name of the block
+    (``stage0``, ``stage2/block0``, ``tm3``) or ``head`` it came from.
     """
     spec = model.spec
     training = model.mode == "train"
@@ -336,7 +342,10 @@ def forward(model, batch):
         b, t = batch.shape[:2]
         x = batch.reshape((b * t,) + tuple(batch.shape[2:]))
         for block in backbone(spec):
-            x = _run_block(model.params, block, x, training)
+            try:
+                x = _run_block(model.params, block, x, training)
+            except NumericsError as exc:
+                raise NumericsError(f"{block.name}: {exc}") from exc
         seq = ops.mean_over(x, (2, 3)).reshape((b, t, x.shape[1]))
     else:
         if batch.ndim != 3 or batch.shape[2] != spec.feature_dim:
@@ -344,8 +353,9 @@ def forward(model, batch):
                 f"batch shape {tuple(batch.shape)} does not match "
                 f"[B,T,{spec.feature_dim}]")
         seq = batch
-    if spec.head == "txb":
-        return _run_txb_head(model, seq)
-    if spec.head == "avg_score":
-        return _run_avg_head(model, seq)
-    return _run_ordinary_head(model, seq)
+    run_head = {"txb": _run_txb_head, "avg_score": _run_avg_head,
+                "ordinary_tconv": _run_ordinary_head}[spec.head]
+    try:
+        return run_head(model, seq)
+    except NumericsError as exc:
+        raise NumericsError(f"head: {exc}") from exc

@@ -29,7 +29,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     seed: int = 0
     lr_decay: float = 0.1
-    lr_steps: tuple = ()        # epoch indices at which lr is multiplied by lr_decay
+    lr_steps: tuple[int, ...] = ()  # epoch indices at which lr is multiplied by lr_decay
 
     def __post_init__(self):
         # Each test is written so that NaN fails it.

@@ -236,6 +236,7 @@ def order_dataset():
     return order_clips()
 
 
+@pytest.mark.slow
 def test_c09_order_discrimination(order_dataset):
     t0 = time.perf_counter()
     train_clips, eval_clips = order_dataset

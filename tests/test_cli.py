@@ -1,11 +1,14 @@
 """Command-line surface: verbs, flags, exit codes, JSON parity."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stnet
 from stnet import arch, cli
 
 MICRO_ARCH = """\
@@ -180,9 +183,13 @@ def test_unknown_verb_and_flag_rejected(capsys):
 
 
 def test_console_script_runs():
+    # The child imports the stnet this suite imported, installed or not.
+    src = str(Path(stnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "stnet.cli", "describe", "--spec", "txb-head-irv2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "4,620,688" in proc.stdout
 

@@ -9,7 +9,7 @@ import pytest
 from stnet import arch, checkpoint, complexity, data, model, ops, serial, training
 from stnet.checkpoint import ParamMismatchError
 from stnet.serial import MagicError, TruncatedError, VersionError
-from stnet.tensor import Tensor
+from stnet.tensor import NumericsError, Tensor
 
 
 def toy_spec():
@@ -195,6 +195,16 @@ class TestBuild:
         want = np.array([[float.fromhex(v) for v in row] for row in FRESH_HEAD_LOGITS[head]],
                         dtype=np.float32)
         assert np.array_equal(got, want), got
+
+    @pytest.mark.parametrize("param, block", [
+        ("stage0/conv/w", "stage0"), ("stage2/block0/conv1/w", "stage2/block0"),
+        ("tm3/conv/w", "tm3"), ("head/fc/w", "head")])
+    def test_non_finite_forward_names_its_block(self, param, block):
+        m = model.build_model(toy_spec(), seed=0).set_mode("infer")
+        m.params[param].data[...] = 3e38
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match=f"^{block}: non-finite values produced"):
+                model.forward(m, batch_for(m.spec))
 
     def test_invalid_spec_reports_field(self):
         with pytest.raises(arch.SpecError, match="tm_after"):
