@@ -98,6 +98,8 @@ def validate(spec):
         if st.kind == "conv":
             if st.kernel < 1:
                 bad(f"stages[{i}].kernel", "must be >= 1")
+            if st.kernel % 2 == 0:  # kernel // 2 padding on both sides would grow the map
+                bad(f"stages[{i}].kernel", f"must be odd, got {st.kernel}")
             if st.repeat != 1:
                 bad(f"stages[{i}].repeat", "a conv stage runs once")
         else:

@@ -137,8 +137,12 @@ class SynthConfig:
         if unknown:
             raise ValueError(f"unknown class {unknown[0]!r}; "
                              f"choose from {SYNTH_CLASSES}")
-        if self.clips_per_class < 1 or self.frames < 1:
-            raise ValueError("clips_per_class and frames must be >= 1")
+        for name, ok, rule in (("clips_per_class", self.clips_per_class >= 1, ">= 1"),
+                               ("frames", self.frames >= 1, ">= 1"),
+                               ("object_scale", self.object_scale >= 1, ">= 1"),
+                               ("noise", self.noise >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         grow_max = 2 * self.object_scale
         if max(self.object_scale, grow_max) > min(self.height, self.width) - 2:
             raise GeometryError(

@@ -131,16 +131,26 @@ def _lr_at(cfg, epoch):
     return lr
 
 
+def _check_labels(clips, num_classes):
+    for clip in clips:
+        if not 0 <= clip.label < num_classes:
+            raise ValueError(f"clip {clip.clip_id}: label {clip.label} is outside "
+                             f"the model's {num_classes} classes")
+
+
 def train(model, clips, cfg, log=None):
     """Train in place on a clip list; returns the loss history.
 
     Deterministic for a given config seed: shuffle order and snippet
     offsets derive from it. A non-finite loss aborts with the epoch/step
-    in the error message.
+    in the error message, and leaves the parameters and running
+    statistics as they were before that step.
     """
     if not clips:
         raise ValueError("training dataset is empty")
+    _check_labels(clips, model.spec.num_classes)
     model.set_mode("train")
+    running = [t for t in model.params.values() if not t.requires_grad]
     sampler = data_mod.SamplerConfig(t=model.spec.t, n=model.spec.n, train=True)
     opt = SGD(model.trainable(), cfg.lr, cfg.momentum, cfg.weight_decay)
     rng = np.random.default_rng((cfg.seed, 0xD0))
@@ -149,14 +159,18 @@ def train(model, clips, cfg, log=None):
     for epoch in range(cfg.epochs):
         opt.lr = _lr_at(cfg, epoch)
         order = rng.permutation(len(clips))
+        first = len(history.losses)
         for lo in range(0, len(clips), cfg.batch_size):
             batch_clips = [clips[i] for i in order[lo:lo + cfg.batch_size]]
             arr, labels = data_mod.make_batch(batch_clips, sampler,
                                               seed=(cfg.seed, epoch, step))
+            saved = [t.data.copy() for t in running]
             try:
                 logits = model_mod.forward(model, Tensor(arr))
                 loss = ops.softmax_cross_entropy(logits, labels)
             except NumericsError as exc:
+                for t, d in zip(running, saved):
+                    t.data[...] = d
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}: {exc}") from exc
             opt.zero_grad()
@@ -166,7 +180,7 @@ def train(model, clips, cfg, log=None):
             step += 1
         history.epochs = epoch + 1
         if log:
-            recent = [v for _, v in history.losses[-max(1, len(clips) // cfg.batch_size):]]
+            recent = [v for _, v in history.losses[first:]]
             log(f"epoch {epoch}: lr={opt.lr:.4g} mean_loss={np.mean(recent):.4f}")
     return history
 
@@ -180,6 +194,7 @@ def evaluate(model, clips, batch_size=32):
     """
     if not clips:
         raise ValueError("evaluation dataset is empty")
+    _check_labels(clips, model.spec.num_classes)
     frozen = model_mod.ModelInstance(
         spec=model.spec, params={k: t.detach() for k, t in model.params.items()},
         mode="infer")

@@ -157,6 +157,20 @@ class TestSynthetic:
         with pytest.raises(data.GeometryError):
             data.SynthConfig(object_scale=40, height=32, width=32)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("object_scale", 0, ">= 1"), ("object_scale", -3, ">= 1"), ("noise", -1, ">= 0")],
+        ids=["object_scale-0", "object_scale-negative", "noise-negative"])
+    def test_sizes_that_break_the_data_name_the_field(self, field, value, rule):
+        # object_scale 0 rendered clips with no object; negative sizes failed inside numpy.
+        with pytest.raises(ValueError, match=f"^{field}: must be {rule}, got {value}$"):
+            data.SynthConfig(**{field: value})
+
+    def test_smallest_object_and_noise_render(self):
+        cfg = data.SynthConfig(classes=("static_a",), clips_per_class=1, object_scale=1,
+                               noise=0)
+        (clip,) = data.gen_synthetic(cfg)
+        assert clip.frames.min() == 16 and clip.frames.max() > 16  # an object on a flat field
+
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="unknown class"):
             data.SynthConfig(classes=("left_right", "zigzag"))

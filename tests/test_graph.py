@@ -791,7 +791,10 @@ class TestPlanGeometry:
     @pytest.mark.parametrize("preset", arch.PRESETS)
     def test_executed_geometry_matches_plans(self, preset, monkeypatch):
         # Every conv2d and batch_norm call of an infer forward runs with its
-        # plan's stride, padding and per-clip output shape, B*T leading.
+        # plan's stride, padding and output shape. The batch norm of every
+        # (conv, bn) pair normalizes axis 1 of a [B*T,C,H,W] activation; a tm
+        # block's normalizes axis 2 of [B,T,C,H,W], and the TXB head's axis 2
+        # of a [B,T,C] sequence.
         spec = arch.load_preset(preset)
         if spec.stages:
             spec = arch.with_overrides(spec, t=2, res=32)
@@ -803,17 +806,16 @@ class TestPlanGeometry:
         conv2d, batch_norm = ops.conv2d, ops.batch_norm
 
         def record(plan, geometry, out):
-            lead = out.ndim - len(plan.out_shape) + 1
-            calls.append((plan.name, geometry,
-                          (int(np.prod(out.shape[:lead])),) + out.shape[lead:]))
+            calls.append((plan.name, geometry, out.shape))
             return out
 
         def conv2d_rec(x, weight, stride=1, padding=0):
             return record(owner[id(weight)], (stride, padding),
                           conv2d(x, weight, stride=stride, padding=padding))
 
-        def batch_norm_rec(x, alpha, *args, **kwargs):
-            return record(owner[id(alpha)], None, batch_norm(x, alpha, *args, **kwargs))
+        def batch_norm_rec(x, alpha, *args, axis, **kwargs):
+            return record(owner[id(alpha)], axis,
+                          batch_norm(x, alpha, *args, axis=axis, **kwargs))
 
         monkeypatch.setattr(ops, "conv2d", conv2d_rec)
         monkeypatch.setattr(ops, "batch_norm", batch_norm_rec)
@@ -822,8 +824,14 @@ class TestPlanGeometry:
             model.forward(m, batch_for(spec, b=b))
         else:
             model.forward(m, Tensor(np.zeros((b, spec.t, spec.feature_dim), np.float32)))
-        assert calls == [(p.name, (p.stride, p.padding) if p.kind == "conv2d" else None,
-                          (b * spec.t,) + p.out_shape[1:]) for p in plans]
+
+        def expected(p):
+            if p.kind == "conv2d":
+                return p.name, (p.stride, p.padding), (b * spec.t,) + p.out_shape[1:]
+            if len(p.out_shape) == 4 and not p.name.startswith("tm"):
+                return p.name, 1, (b * spec.t,) + p.out_shape[1:]
+            return p.name, 2, (b,) + p.out_shape
+        assert calls == [expected(p) for p in plans]
 
 
 class TestWholeModelGradient:

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stnet import arch, cli, data, training
+from stnet import arch, cli, data, model, training
 
 ROUND_TRIP = settings(derandomize=True, deadline=None, max_examples=300)
 
 
 def stem():
     return st.builds(arch.StageSpec, kind=st.just("conv"), channels=st.integers(1, 16),
-                     stride=st.sampled_from((1, 2)), kernel=st.integers(1, 7),
+                     stride=st.sampled_from((1, 2)), kernel=st.sampled_from((1, 3, 5, 7)),
                      pool=st.booleans())
 
 
@@ -136,10 +136,21 @@ BLOCK = "stages.1.kind = basic\nstages.1.channels = 4\n"
 @pytest.mark.parametrize("lines, field", [
     (STEM + "stages.0.kernel = 0\n", "stages[0].kernel: must be >= 1"),
     (STEM + "stages.0.kernel = -1\n", "stages[0].kernel: must be >= 1"),
+    (STEM + "stages.0.kernel = 2\n", "stages[0].kernel: must be odd, got 2"),
+    (STEM + "stages.0.kernel = 4\n", "stages[0].kernel: must be odd, got 4"),
     (STEM + "stages.0.repeat = 2\n", "stages[0].repeat: a conv stage runs once"),
     (STEM + BLOCK + "stages.1.kernel = 5\n", "stages[1].kernel: applies to conv stages only"),
     (STEM + BLOCK + "stages.1.pool = true\n", "stages[1].pool: applies to conv stages only"),
-], ids=["kernel-0", "kernel-negative", "stem-repeat", "block-kernel", "block-pool"])
+], ids=["kernel-0", "kernel-negative", "kernel-2", "kernel-4", "stem-repeat", "block-kernel",
+        "block-pool"])
 def test_stage_fields_that_break_or_do_nothing_are_rejected(lines, field):
     with pytest.raises(arch.SpecError, match="^" + re.escape(f"spec: {field}")):
         arch.parse_arch(BASE + lines, name_hint="spec")
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 7])
+def test_odd_stem_kernel_keeps_the_map_size(kernel):
+    # With kernel // 2 padding on both sides; an even kernel would grow the map.
+    spec = arch.parse_arch(BASE + STEM + f"stages.0.kernel = {kernel}\n")
+    (conv, _), = model.backbone(spec)[0].pairs
+    assert conv.out_shape == (1, 4, 8, 8)

@@ -132,6 +132,39 @@ class TestTrainLoop:
         for name, t in m.params.items():
             assert np.all(np.isfinite(t.data)), name
 
+    def test_divergence_restores_the_model(self):
+        # The overflowing fc is caught in the head, after every backbone batch
+        # norm of that forward has moved its running statistics.
+        m = model.build_model(arch.load_preset("stnet-toy"), seed=0)
+        m.params["head/fc/w"].data[...] = 3e38
+        clips = data.gen_synthetic(data.SynthConfig(clips_per_class=1, seed=0))
+        before = {k: t.data.tobytes() for k, t in m.params.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(training.DivergenceError,
+                               match="head: non-finite values produced by op 'linear'"):
+                training.train(m, clips, training.TrainConfig(epochs=1, batch_size=4))
+        assert {k: t.data.tobytes() for k, t in m.params.items()} == before
+
+    def test_epoch_log_averages_its_own_steps(self):
+        # 18 clips at batch 4 make 5 steps per epoch, the last one partial.
+        clips = micro_clips(per_class=6)
+        m = model.build_model(micro_spec(), seed=2)
+        lines = []
+        history = training.train(m, clips, training.TrainConfig(epochs=2, batch_size=4,
+                                                                seed=2), log=lines.append)
+        per_epoch = [[v for s, v in history.losses if 5 * e <= s < 5 * e + 5] for e in (0, 1)]
+        assert [line.rsplit("=", 1)[1] for line in lines] == \
+            [f"{np.mean(v):.4f}" for v in per_epoch]
+
+    def test_label_outside_the_classes_fails_before_any_step(self):
+        clips = micro_clips(per_class=2)
+        clips[3].label = 3
+        m = model.build_model(micro_spec(), seed=0)
+        before = {k: t.data.tobytes() for k, t in m.params.items()}
+        with pytest.raises(ValueError, match="^clip 3: label 3 is outside the model's 3 classes$"):
+            training.train(m, clips, training.TrainConfig(epochs=1, batch_size=1))
+        assert {k: t.data.tobytes() for k, t in m.params.items()} == before
+
     def test_empty_dataset(self):
         m = model.build_model(micro_spec(), seed=0)
         with pytest.raises(ValueError, match="empty"):
@@ -196,6 +229,15 @@ class TestEvaluate:
         m = model.build_model(micro_spec(), seed=0)
         with pytest.raises(ValueError, match="empty"):
             training.evaluate(m, [])
+
+    @pytest.mark.parametrize("label", [9, -1])
+    def test_label_outside_the_classes_names_the_clip(self, label):
+        clips = micro_clips(per_class=2)
+        clips[4].label = label
+        m = model.build_model(micro_spec(), seed=0)
+        with pytest.raises(ValueError,
+                           match=f"^clip 4: label {label} is outside the model's 3 classes$"):
+            training.evaluate(m, clips)
 
 
 class TestAblation:
