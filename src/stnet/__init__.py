@@ -2,7 +2,7 @@
 
 from .arch import ArchSpec, SpecError, StageSpec, load_preset, resolve_spec
 from .checkpoint import load_checkpoint, save_checkpoint
-from .complexity import ComplexityReport, analyze, emit_report
+from .complexity import ComplexityReport, analyze
 from .data import (SamplerConfig, SynthConfig, VideoClip, gen_synthetic,
                    make_super_images, read_dataset, sample_snippets, write_dataset)
 from .gradcheck import grad_check, run_op_checks
@@ -14,7 +14,7 @@ from .training import Metrics, TrainConfig, evaluate, run_ablation, train
 __all__ = [
     "ArchSpec", "SpecError", "StageSpec", "load_preset", "resolve_spec",
     "load_checkpoint", "save_checkpoint",
-    "ComplexityReport", "analyze", "emit_report",
+    "ComplexityReport", "analyze",
     "SamplerConfig", "SynthConfig", "VideoClip", "gen_synthetic",
     "make_super_images", "read_dataset", "sample_snippets", "write_dataset",
     "grad_check", "run_op_checks",

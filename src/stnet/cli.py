@@ -41,16 +41,11 @@ def _resolve_seed(flag_seed, file_kwargs):
     return 0
 
 
-def _spec_with_overrides(args):
-    spec = arch.resolve_spec(args.spec)
-    return arch.with_overrides(spec, t=args.t, n=args.n, res=args.res,
-                               num_classes=args.classes)
-
-
 def cmd_describe(args):
-    spec = _spec_with_overrides(args)
+    spec = arch.with_overrides(arch.resolve_spec(args.spec), t=args.t, n=args.n,
+                               res=args.res, num_classes=args.classes)
     report = complexity.analyze(spec)
-    print(complexity.emit_report(report, "json" if args.json else "table"))
+    print(complexity.report_json(report) if args.json else complexity.report_table(report))
     return 0
 
 

@@ -93,12 +93,3 @@ def report_table(report):
     lines.append("  ".join("-" * w for w in widths))
     lines.append("  ".join(v.ljust(w) for v, w in zip(body[-1], widths)))
     return "\n".join(lines)
-
-
-def emit_report(report, format="table"):
-    """Human table or machine-readable JSON carrying identical numbers."""
-    if format == "json":
-        return report_json(report)
-    if format == "table":
-        return report_table(report)
-    raise ValueError(f"unknown report format {format!r}")

@@ -23,7 +23,7 @@ SYNTH_CLASSES = ("left_right", "right_left", "grow", "shrink",
                  "static_a", "static_b")
 MIRRORED_PAIRS = (("left_right", "right_left"), ("grow", "shrink"))
 # Classes rendered by reversing their pair partner's frames.
-_REVERSED_OF = {"right_left": "left_right", "shrink": "grow"}
+_REVERSED_OF = {rev: fwd for fwd, rev in MIRRORED_PAIRS}
 
 
 class GeometryError(ValueError):
@@ -71,7 +71,7 @@ def sample_snippets(clip, cfg, seed=0):
     uniform offset over the valid starts. Windows are clamped to the clip
     and repeat the last frame when the clip is shorter than N.
     """
-    f = clip.num_frames if isinstance(clip, VideoClip) else int(clip)
+    f = clip.num_frames
     rng = np.random.default_rng(seed) if cfg.train else None
     windows = []
     for i in range(cfg.t):
@@ -140,7 +140,8 @@ class SynthConfig:
         for name, ok, rule in (("clips_per_class", self.clips_per_class >= 1, ">= 1"),
                                ("frames", self.frames >= 1, ">= 1"),
                                ("object_scale", self.object_scale >= 1, ">= 1"),
-                               ("noise", self.noise >= 0, ">= 0")):
+                               ("noise", self.noise >= 0, ">= 0"),
+                               ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         grow_max = 2 * self.object_scale

@@ -217,9 +217,6 @@ class ModelInstance:
     def trainable(self):
         return [(n, t) for n, t in self.params.items() if t.requires_grad]
 
-    def num_parameters(self):
-        return sum(t.size for _, t in self.trainable())
-
 
 def build_model(spec, seed=0):
     """Allocate and initialize every parameter of ``spec``.
@@ -309,7 +306,7 @@ def _run_txb_head(model, seq):
 
 def _run_avg_head(model, seq):
     p = model.params
-    scores = ops.softmax(ops.linear(seq, p["head/fc/w"], p["head/fc/b"]), axis=2)
+    scores = ops.softmax(ops.linear(seq, p["head/fc/w"], p["head/fc/b"]))
     return ops.mean_over(scores, axis=1)
 
 

@@ -274,42 +274,38 @@ def temporal_max_pool(x):
     return make_node(np.squeeze(y, axis=taxis), (x,), "temporal_max_pool", backward)
 
 
-def max_pool2d(x, kernel=3, stride=2, padding=1):
-    """Spatial max pooling (used by the 7x7-stem presets after the stem conv).
+def max_pool2d(x):
+    """The stem's 3x3, stride-2, padding-1 spatial max pool: [B,C,H,W] -> [B,C,H',W'].
 
-    Gradient is routed to the first occurrence of each window max.
+    H' = (H - 1) // 2 + 1, likewise W'. Gradient is routed to the first
+    occurrence of each window max, in row-major window order.
     """
     _require(x.ndim == 4, f"max_pool2d input must be 4D, got {x.shape}")
     b_, c, h, w = x.shape
-    ho = (h + 2 * padding - kernel) // stride + 1
-    wo = (w + 2 * padding - kernel) // stride + 1
-    _require(ho >= 1 and wo >= 1, "max_pool2d output would be empty")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                constant_values=-np.inf)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].reshape(b_, c, ho, wo, kernel * kernel)
+    ho, wo = (h - 1) // 2 + 1, (w - 1) // 2 + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    win = win[:, :, ::2, ::2].reshape(b_, c, ho, wo, 9)
     idx = np.argmax(win, axis=-1)
     y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
         gxp = np.zeros_like(xp)
-        ii, jj = np.unravel_index(idx, (kernel, kernel))
+        ii, jj = np.unravel_index(idx, (3, 3))
         bi, ci, hi, wi = np.indices(idx.shape)
-        rows = hi * stride + ii
-        cols = wi * stride + jj
-        np.add.at(gxp, (bi, ci, rows, cols), g)
-        x.accumulate_grad(gxp[:, :, padding:padding + h, padding:padding + w]
-                          if padding else gxp)
+        np.add.at(gxp, (bi, ci, hi * 2 + ii, wi * 2 + jj), g)
+        x.accumulate_grad(gxp[:, :, 1:1 + h, 1:1 + w])
     return make_node(y, (x,), "max_pool2d", backward)
 
 
-def softmax(x, axis=-1):
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x):
+    """Softmax over the last axis."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = np.sum(g * s, axis=axis, keepdims=True)
+        dot = np.sum(g * s, axis=-1, keepdims=True)
         x.accumulate_grad(s * (g - dot))
     return make_node(s, (x,), "softmax", backward)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import arch
+from . import arch, complexity
 from . import data as data_mod
 from . import model as model_mod
 from . import ops
@@ -17,7 +17,7 @@ from .tensor import NumericsError, Tensor
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
 
 @dataclass
@@ -38,7 +38,9 @@ class TrainConfig:
                 ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
                 ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
                 ("lr_decay", 0 < self.lr_decay < math.inf, "finite and > 0"),
-                ("batch_size", self.batch_size >= 1, ">= 1")):
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         self.lr_steps = tuple(self.lr_steps)
@@ -112,6 +114,10 @@ class SGD:
             t.zero_grad()
 
     def step(self):
+        """Move every parameter, or none if some gradient is not finite."""
+        for name, t in self.params:
+            if t.grad is not None and not np.all(np.isfinite(t.grad)):
+                raise NumericsError(f"non-finite gradient of parameter {name!r}")
         for (name, t), v in zip(self.params, self.velocity):
             if t.grad is None:
                 continue
@@ -131,24 +137,29 @@ def _lr_at(cfg, epoch):
     return lr
 
 
-def _check_labels(clips, num_classes):
+def _check_clips(clips, spec):
+    """Reject, before the first forward, a clip that ``spec`` cannot take."""
     for clip in clips:
-        if not 0 <= clip.label < num_classes:
+        if not 0 <= clip.label < spec.num_classes:
             raise ValueError(f"clip {clip.clip_id}: label {clip.label} is outside "
-                             f"the model's {num_classes} classes")
+                             f"the model's {spec.num_classes} classes")
+        h, w = clip.frames.shape[2:]
+        if spec.stages and (h, w) != (spec.height, spec.width):
+            raise ValueError(f"clip {clip.clip_id}: frame size {h}x{w} does not match "
+                             f"spec {spec.height}x{spec.width}")
 
 
 def train(model, clips, cfg, log=None):
     """Train in place on a clip list; returns the loss history.
 
     Deterministic for a given config seed: shuffle order and snippet
-    offsets derive from it. A non-finite loss aborts with the epoch/step
-    in the error message, and leaves the parameters and running
+    offsets derive from it. A non-finite loss or gradient aborts with the
+    epoch/step in the error message, and leaves the parameters and running
     statistics as they were before that step.
     """
     if not clips:
         raise ValueError("training dataset is empty")
-    _check_labels(clips, model.spec.num_classes)
+    _check_clips(clips, model.spec)
     model.set_mode("train")
     running = [t for t in model.params.values() if not t.requires_grad]
     sampler = data_mod.SamplerConfig(t=model.spec.t, n=model.spec.n, train=True)
@@ -168,14 +179,14 @@ def train(model, clips, cfg, log=None):
             try:
                 logits = model_mod.forward(model, Tensor(arr))
                 loss = ops.softmax_cross_entropy(logits, labels)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
             except NumericsError as exc:
                 for t, d in zip(running, saved):
                     t.data[...] = d
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, step {step}: {exc}") from exc
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+                    f"diverged at epoch {epoch}, step {step}: {exc}") from exc
             history.losses.append((step, loss.item()))
             step += 1
         history.epochs = epoch + 1
@@ -194,7 +205,9 @@ def evaluate(model, clips, batch_size=32):
     """
     if not clips:
         raise ValueError("evaluation dataset is empty")
-    _check_labels(clips, model.spec.num_classes)
+    if batch_size < 1:
+        raise ValueError(f"batch_size: must be >= 1, got {batch_size!r}")
+    _check_clips(clips, model.spec)
     frozen = model_mod.ModelInstance(
         spec=model.spec, params={k: t.detach() for k, t in model.params.items()},
         mode="infer")
@@ -257,7 +270,8 @@ def run_ablation(train_clips, eval_clips, base_spec, cfg, log=None):
             continue
         m = model_mod.build_model(spec, seed=cfg.seed)
         if log:
-            log(f"training {spec.name} ({m.num_parameters():,} trainable values)")
+            params = complexity.analyze(spec).total_params
+            log(f"training {spec.name} ({params:,} trainable values)")
         history = train(m, train_clips, cfg, log=log)
         metrics = evaluate(m, eval_clips)
         row.update(metrics=metrics, final_loss=history.final_loss)

@@ -171,6 +171,14 @@ class TestGradcheckCommand:
         assert code == 1
         assert "unknown op" in err
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_fails(self, capsys, instances):
+        # Zero draws used to print "14/14 ops below 0.0001" and exit 0.
+        code, out, err = run_cli(capsys, "gradcheck", "--instances", instances)
+        assert code == 1
+        assert f"instances: must be >= 1, got {instances}" in err
+        assert "ops below" not in out
+
 
 def test_unknown_verb_and_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -109,7 +109,7 @@ class TestEmit:
 
     def test_json_round_trip(self):
         rep = complexity.analyze(arch.load_preset("stnet-toy"))
-        doc = json.loads(complexity.emit_report(rep, "json"))
+        doc = json.loads(complexity.report_json(rep))
         assert doc["total_params"] == rep.total_params
         assert doc["total_mults"] == rep.total_mults
         assert sum(l["params"] for l in doc["layers"]) == rep.total_params
@@ -117,11 +117,6 @@ class TestEmit:
 
     def test_table_has_convention_and_total(self):
         rep = complexity.analyze(arch.load_preset("txb-head-irv2"))
-        table = complexity.emit_report(rep, "table")
+        table = complexity.report_table(rep)
         assert "convention" in table
         assert "4,620,688" in table
-
-    def test_unknown_format(self):
-        rep = complexity.analyze(arch.load_preset("stnet-toy"))
-        with pytest.raises(ValueError, match="format"):
-            complexity.emit_report(rep, "yaml")

@@ -158,8 +158,9 @@ class TestSynthetic:
             data.SynthConfig(object_scale=40, height=32, width=32)
 
     @pytest.mark.parametrize("field, value, rule", [
-        ("object_scale", 0, ">= 1"), ("object_scale", -3, ">= 1"), ("noise", -1, ">= 0")],
-        ids=["object_scale-0", "object_scale-negative", "noise-negative"])
+        ("object_scale", 0, ">= 1"), ("object_scale", -3, ">= 1"), ("noise", -1, ">= 0"),
+        ("seed", -1, ">= 0")],
+        ids=["object_scale-0", "object_scale-negative", "noise-negative", "seed-negative"])
     def test_sizes_that_break_the_data_name_the_field(self, field, value, rule):
         # object_scale 0 rendered clips with no object; negative sizes failed inside numpy.
         with pytest.raises(ValueError, match=f"^{field}: must be {rule}, got {value}$"):

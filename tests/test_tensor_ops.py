@@ -299,6 +299,18 @@ class TestReluAndPooling:
         got = ops.max_pool2d(t64(x)).data
         assert np.allclose(got, ref.max_pool2d_ref(x))
 
+    def test_max_pool2d_tie_routes_to_first_in_bounds(self):
+        # On an all-zero 5x5 map every 3x3/2 window ties; output row i reads
+        # input rows 2i-1..2i+1, whose first in-bounds row is 0, 1, 3.
+        x = t64(np.zeros((1, 1, 5, 5)), grad=True)
+        g = np.arange(1.0, 10.0).reshape(1, 1, 3, 3)
+        y = ops.max_pool2d(x)
+        y.backward(g)
+        assert np.array_equal(y.data, np.zeros((1, 1, 3, 3)))
+        want = np.zeros((1, 1, 5, 5))
+        want[:, :, [[0], [1], [3]], [0, 1, 3]] = g
+        assert np.array_equal(x.grad, want)
+
 
 class TestFcAndLosses:
     def test_fc_identity(self):

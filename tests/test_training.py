@@ -62,6 +62,7 @@ class TestSgd:
         ("momentum", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
         ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("weight_decay", -5.0),
+        ("epochs", 0), ("epochs", -1), ("seed", -4),
     ])
     def test_config_rejects_non_finite_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: must be"):
@@ -145,6 +146,21 @@ class TestTrainLoop:
                 training.train(m, clips, training.TrainConfig(epochs=1, batch_size=4))
         assert {k: t.data.tobytes() for k, t in m.params.items()} == before
 
+    def test_non_finite_gradient_moves_no_parameter(self):
+        # Step 0's forward and loss are finite, but the huge fc weight sends
+        # inf gradients into the backbone, which SGD used to write in as NaN.
+        m = model.build_model(arch.load_preset("stnet-toy"), seed=0)
+        m.params["head/fc/w"].data[...] *= 1e36
+        clips = data.gen_synthetic(data.SynthConfig(clips_per_class=4, seed=0))
+        before = {k: t.data.tobytes() for k, t in m.params.items()}
+        cfg = training.TrainConfig(epochs=1, batch_size=8, lr=0.02, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(training.DivergenceError,
+                               match="^diverged at epoch 0, step 0: non-finite gradient "
+                                     "of parameter 'stage0/conv/w'$"):
+                training.train(m, clips, cfg)
+        assert {k: t.data.tobytes() for k, t in m.params.items()} == before
+
     def test_epoch_log_averages_its_own_steps(self):
         # 18 clips at batch 4 make 5 steps per epoch, the last one partial.
         clips = micro_clips(per_class=6)
@@ -164,6 +180,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="^clip 3: label 3 is outside the model's 3 classes$"):
             training.train(m, clips, training.TrainConfig(epochs=1, batch_size=1))
         assert {k: t.data.tobytes() for k, t in m.params.items()} == before
+
+    def test_clip_of_the_wrong_size_fails_before_any_step(self):
+        clips = micro_clips(per_class=2)
+        odd = data.gen_synthetic(data.SynthConfig(classes=("static_a",), clips_per_class=1,
+                                                  height=16, width=16, object_scale=4))[0]
+        odd.clip_id = len(clips)
+        clips.append(odd)
+        m = model.build_model(micro_spec(), seed=0)
+        before = {k: t.data.tobytes() for k, t in m.params.items()}
+        msg = "^clip 6: frame size 16x16 does not match spec 12x12$"
+        with pytest.raises(ValueError, match=msg):
+            training.train(m, clips, training.TrainConfig(epochs=1, batch_size=4))
+        assert {k: t.data.tobytes() for k, t in m.params.items()} == before
+        with pytest.raises(ValueError, match=msg):
+            training.evaluate(m, clips)
 
     def test_empty_dataset(self):
         m = model.build_model(micro_spec(), seed=0)
@@ -211,6 +242,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="does not match spec"):
             training.evaluate(m, clips)
         assert m.mode == "train"
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        # -2 used to return an empty Metrics (top-1 0.0); 0 failed inside range().
+        m = model.build_model(micro_spec(), seed=0)
+        with pytest.raises(ValueError, match=f"^batch_size: must be >= 1, got {batch_size}$"):
+            training.evaluate(m, micro_clips(per_class=1), batch_size=batch_size)
 
     def test_balanced_data_top1_equals_class_mean(self):
         clips = micro_clips(per_class=5, seed=9)
