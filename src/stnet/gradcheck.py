@@ -7,6 +7,7 @@ All checks run in double precision with central differences; the step is
 from __future__ import annotations
 
 import zlib
+from functools import partial
 
 import numpy as np
 
@@ -137,17 +138,30 @@ def _bn_inputs(rng):
     return x, al, be, m, v, axis
 
 
-def _check_batch_norm_train(rng):
+def _check_batch_norm(rng, training):
     x, al, be, m, v, axis = _bn_inputs(rng)
     return grad_check(
-        lambda x_, a_, b_: ops.batch_norm(x_, a_, b_, m, v, axis, training=True),
+        lambda x_, a_, b_: ops.batch_norm(x_, a_, b_, m, v, axis, training),
         [x, al, be])
 
 
-def _check_batch_norm_infer(rng):
-    x, al, be, m, v, axis = _bn_inputs(rng)
+def _check_batch_norm_relu(rng, training):
+    # x takes 8 levels 0.5 apart, plus noise of std 0.01, so every channel's
+    # normalized values fall in clusters with wide gaps between them. beta
+    # puts each channel's relu kink in the middle of its widest gap, so no
+    # pre-relu output lies within |alpha| * gap / 2 of 0.
+    x, _, _, m, v, axis = _bn_inputs(rng)
+    x.data[...] = rng.integers(0, 8, x.shape) * 0.5 + rng.standard_normal(x.shape) * 0.01
+    c = x.shape[axis]
+    al = _t_away_from_zero(rng, (c,))
+    xhat = ops.batch_norm(x.detach(), Tensor(np.ones(c)), Tensor(np.zeros(c)),
+                          Tensor(m.data.copy()), Tensor(v.data.copy()), axis, training).data
+    xs = np.sort(np.moveaxis(xhat, axis, 0).reshape(c, -1), axis=1)
+    k = np.diff(xs, axis=1).argmax(axis=1)
+    mid = (xs[np.arange(c), k] + xs[np.arange(c), k + 1]) / 2
+    be = Tensor(-al.data * mid, requires_grad=True)
     return grad_check(
-        lambda x_, a_, b_: ops.batch_norm(x_, a_, b_, m, v, axis, training=False),
+        lambda x_, a_, b_: ops.batch_norm(x_, a_, b_, m, v, axis, training, relu=True),
         [x, al, be])
 
 
@@ -207,8 +221,10 @@ OP_CHECKS = {
     "conv2d": _check_conv2d,
     "temporal_conv3": _check_temporal_conv3,
     "linear": _check_linear,
-    "batch_norm_train": _check_batch_norm_train,
-    "batch_norm_infer": _check_batch_norm_infer,
+    "batch_norm_train": partial(_check_batch_norm, training=True),
+    "batch_norm_infer": partial(_check_batch_norm, training=False),
+    "batch_norm_train_relu": partial(_check_batch_norm_relu, training=True),
+    "batch_norm_infer_relu": partial(_check_batch_norm_relu, training=False),
     "relu": _check_relu,
     "temporal_max_pool": _check_temporal_max_pool,
     "max_pool2d": _check_max_pool2d,
@@ -229,6 +245,8 @@ def run_op_checks(op=None, instances=20, seed=0):
     """
     if instances < 1:
         raise ValueError(f"instances: must be >= 1, got {instances!r}")
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed!r}")
     names = [op] if op else sorted(OP_CHECKS)
     unknown = [n for n in names if n not in OP_CHECKS]
     if unknown:

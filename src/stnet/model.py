@@ -41,11 +41,13 @@ class LayerPlan:
 class Block:
     """One backbone unit, as the forward pass runs it.
 
-    ``pairs`` holds the main path's (conv, bn) plans in order. A stem
-    runs conv, bn, relu and then, with ``pool``, a 3x3/2 max pool; a
-    residual block puts a relu between pairs and adds the shortcut (the
-    ``down`` pair, or the identity) before its final relu; a tm block
-    runs its dense 3-tap conv over snippets, bn and relu.
+    ``pairs`` holds the main path's (conv, bn) plans in order. A relu
+    that follows a batch norm runs inside it (``ops.batch_norm(...,
+    relu=True)``). A stem runs conv, bn+relu and then, with ``pool``, a
+    3x3/2 max pool; a residual block runs bn+relu on every pair but the
+    last, whose bn output is added to the shortcut (the ``down`` pair, or
+    the identity) before the block's one separate relu; a tm block runs
+    its dense 3-tap conv over snippets and bn+relu.
     """
     kind: str                 # stem | residual | tm
     pairs: tuple
@@ -250,15 +252,15 @@ def build_model(spec, seed=0):
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _run_bn(p, prefix, x, axis, training):
+def _run_bn(p, prefix, x, axis, training, relu=False):
     return ops.batch_norm(x, p[f"{prefix}/alpha"], p[f"{prefix}/beta"],
                           p[f"{prefix}/mean"], p[f"{prefix}/var"],
-                          axis=axis, training=training)
+                          axis=axis, training=training, relu=relu)
 
 
-def _run_conv_bn(p, conv, bn, x, training):
+def _run_conv_bn(p, conv, bn, x, training, relu=False):
     x = ops.conv2d(x, p[f"{conv.name}/w"], stride=conv.stride, padding=conv.padding)
-    return _run_bn(p, bn.name, x, 1, training)
+    return _run_bn(p, bn.name, x, 1, training, relu)
 
 
 def _run_block(p, block, x, training):
@@ -268,12 +270,13 @@ def _run_block(p, block, x, training):
         # The [C, C, 3] weight is a dense 3-tap conv over the snippet axis; H, W ride
         # along. Its output is channel-major in memory, so the final reshape copies.
         y = ops.temporal_conv3(x.reshape((-1,) + conv.out_shape), p[f"{conv.name}/w"])
-        return ops.relu(_run_bn(p, bn.name, y, 2, training)).reshape(x.shape)
+        return _run_bn(p, bn.name, y, 2, training, relu=True).reshape(x.shape)
     y = x
+    last = len(block.pairs) - 1
     for k, (conv, bn) in enumerate(block.pairs):
-        y = _run_conv_bn(p, conv, bn, ops.relu(y) if k else y, training)
+        # Every pair's batch norm takes its relu but a residual block's last.
+        y = _run_conv_bn(p, conv, bn, y, training, relu=k < last or block.kind == "stem")
     if block.kind == "stem":
-        y = ops.relu(y)
         return ops.max_pool2d(y) if block.pool else y
     shortcut = x if block.down is None else _run_conv_bn(p, *block.down, x, training)
     return ops.relu(y + shortcut)

@@ -191,14 +191,18 @@ def linear(x, weight, bias):
 # Normalization
 # ---------------------------------------------------------------------------
 
-def batch_norm(x, alpha, beta, running_mean, running_var, axis, training):
+def batch_norm(x, alpha, beta, running_mean, running_var, axis, training, relu=False):
     """Batch normalization over every axis except ``axis`` (the channel axis).
 
     Inference: y = (x - m) / sqrt(var + BN_EPS) * alpha + beta with the
-    accumulated running statistics. Training normalizes with batch
-    statistics and updates the running buffers in place:
+    accumulated running statistics, run as the per-channel affine map
+    y = A * x + B with A = alpha / sqrt(var + BN_EPS) and B = beta - m * A.
+    Training normalizes with batch statistics and updates the running
+    buffers in place:
     m <- BN_MOMENTUM * m + (1 - BN_MOMENTUM) * batch_mean (same for var).
-    Running buffers never receive gradients.
+    Running buffers never receive gradients. ``relu`` applies max(y, 0) to
+    the output in place; in training mode the result is bit-equal to
+    ``relu(batch_norm(...))``, gradients included.
     """
     axis = axis % x.ndim
     c = x.shape[axis]
@@ -220,15 +224,25 @@ def batch_norm(x, alpha, beta, running_mean, running_var, axis, training):
         running_var.data[...] = BN_MOMENTUM * running_var.data + (1 - BN_MOMENTUM) * var
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = xc * inv.reshape(bshape)
+        y = xhat * alpha.data.reshape(bshape) + beta.data.reshape(bshape)
     else:
         inv = 1.0 / np.sqrt(running_var.data + BN_EPS)
-        xhat = (x.data - running_mean.data.reshape(bshape)) * inv.reshape(bshape)
-
-    y = xhat * alpha.data.reshape(bshape) + beta.data.reshape(bshape)
+        a = alpha.data * inv
+        b = beta.data - running_mean.data * a
+        # One output buffer, in the dtype the unfolded formula would give.
+        y = np.multiply(x.data, a.reshape(bshape),
+                        dtype=np.result_type(x.data, a, b))
+        y += b.reshape(bshape)
+    if relu:
+        np.maximum(y, 0, out=y)
 
     def backward(g):
+        if relu:
+            g = g * (y > 0)
         if alpha.requires_grad:
-            alpha.accumulate_grad(np.sum(g * xhat, axis=reduce_axes))
+            xh = xhat if training else \
+                (x.data - running_mean.data.reshape(bshape)) * inv.reshape(bshape)
+            alpha.accumulate_grad(np.sum(g * xh, axis=reduce_axes))
         if beta.requires_grad:
             beta.accumulate_grad(g.sum(axis=reduce_axes))
         if x.requires_grad:
@@ -248,11 +262,12 @@ def batch_norm(x, alpha, beta, running_mean, running_var, axis, training):
 # ---------------------------------------------------------------------------
 
 def relu(x):
-    mask = x.data > 0
+    """max(x, 0); a ``-0.0`` input gives ``+0.0``."""
+    y = np.maximum(x.data, 0)
 
     def backward(g):
-        x.accumulate_grad(g * mask)
-    return make_node(np.where(mask, x.data, 0), (x,), "relu", backward)
+        x.accumulate_grad(g * (y > 0))
+    return make_node(y, (x,), "relu", backward)
 
 
 def temporal_max_pool(x):

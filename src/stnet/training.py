@@ -114,19 +114,28 @@ class SGD:
             t.zero_grad()
 
     def step(self):
-        """Move every parameter, or none if some gradient is not finite."""
+        """Move every parameter, or none if some gradient or update is not finite.
+
+        Every new velocity and parameter is computed before any is written.
+        """
         for name, t in self.params:
             if t.grad is not None and not np.all(np.isfinite(t.grad)):
                 raise NumericsError(f"non-finite gradient of parameter {name!r}")
+        updates = []
         for (name, t), v in zip(self.params, self.velocity):
             if t.grad is None:
                 continue
             g = t.grad
             if self.weight_decay:
                 g = g + self.weight_decay * t.data
-            v *= self.momentum
-            v += g
-            t.data -= self.lr * v
+            new_v = self.momentum * v + g
+            new_p = t.data - self.lr * new_v
+            if not (np.all(np.isfinite(new_v)) and np.all(np.isfinite(new_p))):
+                raise NumericsError(f"non-finite update of parameter {name!r}")
+            updates.append((t.data, v, new_p, new_v))
+        for p, v, new_p, new_v in updates:
+            p[...] = new_p
+            v[...] = new_v
 
 
 def _lr_at(cfg, epoch):

@@ -179,6 +179,12 @@ class TestGradcheckCommand:
         assert f"instances: must be >= 1, got {instances}" in err
         assert "ops below" not in out
 
+    def test_negative_seed_fails(self, capsys):
+        code, out, err = run_cli(capsys, "gradcheck", "--seed", "-4", "--op", "relu")
+        assert code == 1
+        assert "seed: must be >= 0, got -4" in err
+        assert "ops below" not in out
+
 
 def test_unknown_verb_and_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -190,14 +196,23 @@ def test_unknown_verb_and_flag_rejected(capsys):
     assert exc.value.code != 0
 
 
-def test_console_script_runs():
+def _run_module(module, *argv):
     # The child imports the stnet this suite imported, installed or not.
     src = str(Path(stnet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "stnet.cli", "describe", "--spec", "txb-head-irv2"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_script_runs():
+    proc = _run_module("stnet.cli", "describe", "--spec", "txb-head-irv2")
+    assert proc.returncode == 0
+    assert "4,620,688" in proc.stdout
+
+
+def test_package_runs_as_module():
+    proc = _run_module("stnet", "describe", "--spec", "txb-head-irv2")
     assert proc.returncode == 0
     assert "4,620,688" in proc.stdout
 

@@ -243,7 +243,102 @@ class TestBatchNorm:
         assert np.allclose((bn(x1) - zero) + (bn(x2) - zero), bn(x1 + x2) - zero)
 
 
+class TestBatchNormRelu:
+    """``batch_norm(..., relu=True)`` against a batch norm followed by a relu."""
+
+    @staticmethod
+    def _draw(rng, shape, axis, dtype):
+        c = shape[axis]
+        return {"alpha": rng.standard_normal(c).astype(dtype),
+                "beta": rng.standard_normal(c).astype(dtype),
+                "mean": rng.standard_normal(c).astype(dtype),
+                "var": rng.uniform(0.5, 2.0, c).astype(dtype)}
+
+    @staticmethod
+    def _run(fn, xd, p, g):
+        """Output, gradients of x, alpha and beta, and running buffers of one call."""
+        x = Tensor(xd, requires_grad=True)
+        alpha, beta = (Tensor(p[k].copy(), requires_grad=True) for k in ("alpha", "beta"))
+        mean, var = Tensor(p["mean"].copy()), Tensor(p["var"].copy())
+        y = fn(x, alpha, beta, mean, var)
+        y.backward(g)
+        return y.data, x.grad, alpha.grad, beta.grad, mean.data, var.data
+
+    # A [B*T,C,H,W] activation normalized over axis 1, and the TM block's
+    # [B,T,C,H,W] view of a channel-major [B,C,T,H,W] buffer over axis 2.
+    @pytest.mark.parametrize("layout", ["axis1", "tm_axis2"])
+    def test_train_mode_is_byte_equal_to_separate_relu(self, layout):
+        rng = np.random.default_rng(21)
+        if layout == "axis1":
+            xd, axis = rng.standard_normal((6, 5, 4, 3)).astype(np.float32), 1
+        else:
+            xd = rng.standard_normal((2, 5, 3, 4, 3)).astype(np.float32).swapaxes(1, 2)
+            axis = 2
+        p = self._draw(rng, xd.shape, axis, np.float32)
+        g = rng.standard_normal(xd.shape).astype(np.float32)
+        fused = self._run(lambda x, a, b, m, v: ops.batch_norm(
+            x, a, b, m, v, axis, training=True, relu=True), xd, p, g)
+        separate = self._run(lambda x, a, b, m, v: ops.relu(ops.batch_norm(
+            x, a, b, m, v, axis, training=True)), xd, p, g)
+        assert 0 < np.count_nonzero(fused[0]) < fused[0].size
+        for got, want in zip(fused, separate):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_infer_mode_matches_oracle_and_relu(self, dtype, tol):
+        rng = np.random.default_rng(22)
+        xd = rng.standard_normal((3, 4, 5, 2)).astype(dtype)
+        p = self._draw(rng, xd.shape, 1, dtype)
+        g = rng.standard_normal(xd.shape).astype(dtype)
+        y, gx, ga, gb, mean, var = self._run(lambda x, a, b, m, v: ops.batch_norm(
+            x, a, b, m, v, 1, training=False, relu=True), xd, p, g)
+        pre = ref.batch_norm_ref(xd.astype(np.float64), p["alpha"], p["beta"],
+                                 p["mean"], p["var"], 1, False)
+        assert y.dtype == dtype
+        assert 0 < np.count_nonzero(y) < y.size
+        # Gradients of relu(A * x + B), with A = alpha / sqrt(var + eps).
+        bshape = (1, -1, 1, 1)
+        inv = 1 / np.sqrt(p["var"].astype(np.float64) + ops.BN_EPS)
+        gm = g * (pre > 0)
+        xhat = (xd - p["mean"].reshape(bshape)) * inv.reshape(bshape)
+        for got, want in ((y, np.maximum(pre, 0)),
+                          (gx, gm * (p["alpha"] * inv).reshape(bshape)),
+                          (ga, np.sum(gm * xhat, axis=(0, 2, 3))),
+                          (gb, np.sum(gm, axis=(0, 2, 3)))):
+            # Relative to the largest entry: a sum that cancels to near 0 keeps
+            # the rounding of its terms.
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+        assert mean.tobytes() == p["mean"].tobytes() and var.tobytes() == p["var"].tobytes()
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_infer_output_dtype_follows_every_input(self, relu):
+        # float32 activations with one float64 parameter give float64, as the
+        # unfolded (x - m) * inv * alpha + beta does.
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
+        p = self._draw(rng, x.shape, 1, np.float32)
+        for name in p:
+            q = {k: Tensor(v.astype(np.float64) if k == name else v) for k, v in p.items()}
+            y = ops.batch_norm(x, q["alpha"], q["beta"], q["mean"], q["var"], 1,
+                               training=False, relu=relu)
+            assert y.dtype == np.float64, name
+        q = {k: Tensor(v) for k, v in p.items()}
+        y = ops.batch_norm(x, q["alpha"], q["beta"], q["mean"], q["var"], 1,
+                           training=False, relu=relu)
+        assert y.dtype == np.float32
+
+
 class TestReluAndPooling:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_is_byte_equal_to_where(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([-0.0, 0.0, -1.5, 2.0, tiny, -tiny, -3.0, 7.25], dtype=dtype)
+        y = ops.relu(Tensor(x)).data
+        want = np.where(x > 0, x, 0)
+        assert y.dtype == want.dtype == dtype
+        assert y.tobytes() == want.tobytes()
+        assert not np.signbit(y).any()
+
     def test_relu_basic(self):
         y = ops.relu(t64([-1.0, 0.0, 2.0]))
         assert np.allclose(y.data, [0, 0, 2])

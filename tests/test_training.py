@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stnet import arch, data, model, training
-from stnet.tensor import Tensor
+from stnet.tensor import NumericsError, Tensor
 
 MICRO_CLASSES = ("left_right", "right_left", "static_a")
 
@@ -49,6 +49,19 @@ class TestSgd:
         opt.step()   # v=1, p=-1
         opt.step()   # v=1.5, p=-2.5
         assert np.allclose(t.data, [-2.5])
+
+    def test_overflowing_update_moves_nothing(self):
+        # The second step's velocity 0.9 * 3e38 + 3e38 overflows float32; it
+        # used to be written in as inf, and the parameter as -inf.
+        t = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
+        opt = training.SGD([("w", t)], lr=0.01, momentum=0.9)
+        t.grad = np.full(2, 3e38, np.float32)
+        opt.step()
+        before = t.data.tobytes(), opt.velocity[0].tobytes()
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericsError, match="non-finite update of parameter 'w'"):
+            opt.step()
+        assert (t.data.tobytes(), opt.velocity[0].tobytes()) == before
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="lr"):
