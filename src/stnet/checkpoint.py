@@ -31,8 +31,8 @@ class ParamMismatchError(serial.FormatError):
 def save_checkpoint(model, path):
     """Write ``model`` to ``path`` atomically.
 
-    The tensors go to a temporary file in the same directory, which
-    replaces ``path`` only once it is complete: a write that fails
+    The tensors go to a temporary file in the same directory, which is
+    flushed to disk and only then replaces ``path``: a write that fails
     leaves any previous checkpoint at ``path`` as it was.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -49,6 +49,8 @@ def save_checkpoint(model, path):
                 for dim in tensor.shape:
                     serial.write_u32(f, dim)
                 f.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -36,9 +36,12 @@ def _resolve_seed(flag_seed, file_kwargs):
     if "seed" in file_kwargs:
         return file_kwargs["seed"]
     env = os.environ.get("STNET_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ValueError(f"STNET_SEED: expected an integer, got {env!r}") from None
 
 
 def cmd_describe(args):

@@ -100,7 +100,7 @@ def _check_conv2d(rng):
     s, p = int(rng.integers(1, 3)), int(rng.integers(0, 3))
     h = int(rng.integers(k, k + 4))
     w = int(rng.integers(k, k + 4))
-    x, wt = _t(rng, (b, c, h, w)), _t(rng, (o, c, k, k))
+    x, wt = _t(rng, (c, b, h, w)), _t(rng, (o, c, k, k))
     return grad_check(lambda *a: ops.conv2d(*a, stride=s, padding=p), [x, wt])
 
 
@@ -124,7 +124,8 @@ def _check_linear(rng):
 
 
 def _bn_inputs(rng):
-    # First extent >= 8 keeps batch variances away from zero, where the
+    # A [N, C], [N, T, C] or [N, C, H, W] draw, handed to the op channel
+    # first. N >= 8 keeps batch variances away from zero, where the
     # curvature of the train-mode normalization would dominate the
     # central-difference truncation error.
     ndim = int(rng.integers(2, 5))
@@ -132,16 +133,18 @@ def _bn_inputs(rng):
         int(rng.integers(2, 5)) for _ in range(ndim - 1))
     axis = 1 if ndim == 4 else ndim - 1
     c = shape[axis]
-    x, al, be = _t(rng, shape), _t(rng, (c,)), _t(rng, (c,))
+    x = Tensor(np.ascontiguousarray(np.moveaxis(rng.standard_normal(shape), axis, 0)),
+               requires_grad=True, dtype=np.float64)
+    al, be = _t(rng, (c,)), _t(rng, (c,))
     m = Tensor(rng.standard_normal(c), dtype=np.float64)
     v = Tensor(rng.uniform(0.5, 2.0, c), dtype=np.float64)
-    return x, al, be, m, v, axis
+    return x, al, be, m, v
 
 
 def _check_batch_norm(rng, training):
-    x, al, be, m, v, axis = _bn_inputs(rng)
+    x, al, be, m, v = _bn_inputs(rng)
     return grad_check(
-        lambda x_, a_, b_: ops.batch_norm(x_, a_, b_, m, v, axis, training),
+        lambda x_, a_, b_: ops.batch_norm(x_, a_, b_, m, v, training),
         [x, al, be])
 
 
@@ -150,18 +153,18 @@ def _check_batch_norm_relu(rng, training):
     # normalized values fall in clusters with wide gaps between them. beta
     # puts each channel's relu kink in the middle of its widest gap, so no
     # pre-relu output lies within |alpha| * gap / 2 of 0.
-    x, _, _, m, v, axis = _bn_inputs(rng)
+    x, _, _, m, v = _bn_inputs(rng)
     x.data[...] = rng.integers(0, 8, x.shape) * 0.5 + rng.standard_normal(x.shape) * 0.01
-    c = x.shape[axis]
+    c = x.shape[0]
     al = _t_away_from_zero(rng, (c,))
     xhat = ops.batch_norm(x.detach(), Tensor(np.ones(c)), Tensor(np.zeros(c)),
-                          Tensor(m.data.copy()), Tensor(v.data.copy()), axis, training).data
-    xs = np.sort(np.moveaxis(xhat, axis, 0).reshape(c, -1), axis=1)
+                          Tensor(m.data.copy()), Tensor(v.data.copy()), training).data
+    xs = np.sort(xhat.reshape(c, -1), axis=1)
     k = np.diff(xs, axis=1).argmax(axis=1)
     mid = (xs[np.arange(c), k] + xs[np.arange(c), k + 1]) / 2
     be = Tensor(-al.data * mid, requires_grad=True)
     return grad_check(
-        lambda x_, a_, b_: ops.batch_norm(x_, a_, b_, m, v, axis, training, relu=True),
+        lambda x_, a_, b_: ops.batch_norm(x_, a_, b_, m, v, training, relu=True),
         [x, al, be])
 
 

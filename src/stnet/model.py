@@ -15,6 +15,7 @@ as does every weight's He fan-in.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,34 +253,58 @@ def build_model(spec, seed=0):
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _run_bn(p, prefix, x, axis, training, relu=False):
-    return ops.batch_norm(x, p[f"{prefix}/alpha"], p[f"{prefix}/beta"],
-                          p[f"{prefix}/mean"], p[f"{prefix}/var"],
-                          axis=axis, training=training, relu=relu)
+@contextmanager
+def _named(name):
+    """Prefix a NumericsError raised in the ``with`` body with ``name``."""
+    try:
+        yield
+    except NumericsError as exc:
+        raise NumericsError(f"{name}: {exc}") from exc
+
+
+def _run_bn(p, prefix, x, training, relu=False):
+    with _named(prefix):
+        return ops.batch_norm(x, p[f"{prefix}/alpha"], p[f"{prefix}/beta"],
+                              p[f"{prefix}/mean"], p[f"{prefix}/var"],
+                              training=training, relu=relu)
 
 
 def _run_conv_bn(p, conv, bn, x, training, relu=False):
-    x = ops.conv2d(x, p[f"{conv.name}/w"], stride=conv.stride, padding=conv.padding)
-    return _run_bn(p, bn.name, x, 1, training, relu)
+    with _named(conv.name):
+        x = ops.conv2d(x, p[f"{conv.name}/w"], stride=conv.stride, padding=conv.padding)
+    return _run_bn(p, bn.name, x, training, relu)
 
 
 def _run_block(p, block, x, training):
-    """One backbone block on a [B*T,C,H,W] activation."""
+    """One backbone block on a channel-major [C, B*T, H, W] activation.
+
+    A non-finite value is named by the layer plan that made it
+    (``stage2/block0/conv1``, ``tm3/bn``), or by the block for the pool,
+    the residual add and its relu.
+    """
     if block.kind == "tm":
         ((conv, bn),) = block.pairs
-        # The [C, C, 3] weight is a dense 3-tap conv over the snippet axis; H, W ride
-        # along. Its output is channel-major in memory, so the final reshape copies.
-        y = ops.temporal_conv3(x.reshape((-1,) + conv.out_shape), p[f"{conv.name}/w"])
-        return _run_bn(p, bn.name, y, 2, training, relu=True).reshape(x.shape)
+        # The [C, C, 3] weight is a dense 3-tap conv over the snippet axis of a
+        # [B, T, C, H, W] view; H, W ride along. Its output is stored
+        # [C, B, T, H, W], so neither the batch norm nor the final reshape copies.
+        c, bt, h, w = x.shape
+        t = conv.out_shape[0]
+        with _named(conv.name):
+            y = ops.temporal_conv3(x.reshape((c, bt // t, t, h, w)).transpose((1, 2, 0, 3, 4)),
+                                   p[f"{conv.name}/w"])
+        y = _run_bn(p, bn.name, y.transpose((2, 0, 1, 3, 4)), training, relu=True)
+        return y.reshape(x.shape)
     y = x
     last = len(block.pairs) - 1
     for k, (conv, bn) in enumerate(block.pairs):
         # Every pair's batch norm takes its relu but a residual block's last.
         y = _run_conv_bn(p, conv, bn, y, training, relu=k < last or block.kind == "stem")
     if block.kind == "stem":
-        return ops.max_pool2d(y) if block.pool else y
+        with _named(block.name):
+            return ops.max_pool2d(y) if block.pool else y
     shortcut = x if block.down is None else _run_conv_bn(p, *block.down, x, training)
-    return ops.relu(y + shortcut)
+    with _named(block.name):
+        return ops.relu(y + shortcut)
 
 
 def txb_branches(model, seq):
@@ -290,7 +315,10 @@ def txb_branches(model, seq):
     """
     p = model.params
     training = model.mode == "train"
-    v = _run_bn(p, "txb/bn", seq, seq.ndim - 1, training)
+    # The batch norm runs on the [C, B*T] transpose of the sequence.
+    c = seq.shape[-1]
+    v = _run_bn(p, "txb/bn", seq.reshape((-1, c)).transpose((1, 0)), training)
+    v = v.transpose((1, 0)).reshape(seq.shape)
     short = ops.linear(v, p["txb/short/tw/w"], p["txb/short/tw/b"])
     long = ops.temporal_conv3(v, p["txb/long/cw1/w"], p["txb/long/cw1/b"])
     long = ops.relu(ops.linear(long, p["txb/long/tw1/w"], p["txb/long/tw1/b"]))
@@ -328,8 +356,11 @@ def forward(model, batch):
     specs take a [B,T,C] feature sequence. The avg_score head returns
     averaged per-snippet softmax scores (so its output is
     permutation-invariant over snippets); the other heads return raw
-    fc outputs. A NumericsError is re-raised with the name of the block
-    (``stage0``, ``stage2/block0``, ``tm3``) or ``head`` it came from.
+    fc outputs. A NumericsError is re-raised with the name of the layer
+    (``stage2/block0/conv1``, ``tm3/bn``), the block (``stage2/block0``
+    for its residual add) or ``head`` it came from.
+
+    The backbone carries channel-major [C, B*T, H, W] activations.
     """
     spec = model.spec
     training = model.mode == "train"
@@ -340,13 +371,10 @@ def forward(model, batch):
                 f"batch shape {tuple(batch.shape)} does not match spec "
                 f"[B,{','.join(str(e) for e in expected)}]")
         b, t = batch.shape[:2]
-        x = batch.reshape((b * t,) + tuple(batch.shape[2:]))
+        x = batch.reshape((b * t,) + tuple(batch.shape[2:])).transpose((1, 0, 2, 3))
         for block in backbone(spec):
-            try:
-                x = _run_block(model.params, block, x, training)
-            except NumericsError as exc:
-                raise NumericsError(f"{block.name}: {exc}") from exc
-        seq = ops.mean_over(x, (2, 3)).reshape((b, t, x.shape[1]))
+            x = _run_block(model.params, block, x, training)
+        seq = ops.mean_over(x, (2, 3)).transpose((1, 0)).reshape((b, t, x.shape[0]))
     else:
         if batch.ndim != 3 or batch.shape[2] != spec.feature_dim:
             raise ValueError(
@@ -355,7 +383,5 @@ def forward(model, batch):
         seq = batch
     run_head = {"txb": _run_txb_head, "avg_score": _run_avg_head,
                 "ordinary_tconv": _run_ordinary_head}[spec.head]
-    try:
+    with _named("head"):
         return run_head(model, seq)
-    except NumericsError as exc:
-        raise NumericsError(f"head: {exc}") from exc

@@ -25,31 +25,32 @@ def _require(cond, msg):
 # ---------------------------------------------------------------------------
 
 def conv2d(x, weight, stride=1, padding=0):
-    """Strided 2D cross-correlation: [B,C,H,W] -> [B,O,H',W'].
+    """Strided 2D cross-correlation on channel-major maps: [C,B,H,W] -> [O,B,H',W'].
 
     H' = floor((H + 2*padding - kh) / stride) + 1, likewise W'. There is no
     bias: every conv of the network feeds a batch norm, which cancels it.
 
     One matrix product per kernel tap (i, j), with no im2col copy. The
-    padded input is held channel-major, [C, B, H+2p, W+2p], so that each
-    tap's window is a [C, B*H'*W'] matrix without a transpose:
+    input, zero-padded to [C, B, H+2p, W+2p] (used as it is without
+    padding), gives each tap's window as a [C, B*H'*W'] matrix, and the
+    [O, B*H'*W'] sum of the products is the output as it stands:
 
         forward      y[O, B*H'*W']  += W[:, :, i, j]   @ x_tap[C, B*H'*W']
         weight grad  gW[:, :, i, j] += (x_tap @ g[B*H'*W', O]).T
         input grad   gx_tap         += W[:, :, i, j].T @ g[O, B*H'*W']
 
-    ``g`` is transposed to each of its two layouts once per backward, and
-    y once at the end. Each product has the operands, layouts and shape
-    that a per-tap ``np.einsum(..., optimize=True)`` passes to ``matmul``,
-    and the taps accumulate in row-major kernel order, so every element
-    sums its terms in the order, and with the rounding, of such a per-tap
-    contraction. One product per image, or with its operands swapped,
-    would not: BLAS kernels for small or odd-sized matrices can order a
-    dot product differently.
+    ``g`` is transposed once per backward, for the weight gradient. Each
+    product has the operands, layouts and shape that a per-tap
+    ``np.einsum(..., optimize=True)`` passes to ``matmul``, and the taps
+    accumulate in row-major kernel order, so every element sums its terms
+    in the order, and with the rounding, of such a per-tap contraction.
+    One product per image, or with its operands swapped, would not: BLAS
+    kernels for small or odd-sized matrices can order a dot product
+    differently.
     """
     _require(x.ndim == 4, f"conv2d input must be 4D, got {x.shape}")
     _require(weight.ndim == 4, f"conv2d weight must be 4D, got {weight.shape}")
-    b_, c, h, w = x.shape
+    c, b_, h, w = x.shape
     o, ci, kh, kw = weight.shape
     _require(ci == c, f"conv2d channel mismatch: input has {c}, weight expects {ci}")
     _require(stride >= 1 and padding >= 0, "conv2d stride must be >=1 and padding >=0")
@@ -58,36 +59,35 @@ def conv2d(x, weight, stride=1, padding=0):
     _require(ho >= 1 and wo >= 1,
              f"conv2d output would be empty for input {x.shape} and kernel {weight.shape}")
 
-    xc = np.zeros((c, b_, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    xc[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
+    if padding:
+        xc = np.zeros((c, b_, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xc[:, :, padding:padding + h, padding:padding + w] = x.data
+    else:
+        xc = x.data
     # Kernel taps in row-major order, each with the rows and columns of the
     # padded input it reads.
     taps = [(i, j, slice(i, i + stride * (ho - 1) + 1, stride),
              slice(j, j + stride * (wo - 1) + 1, stride))
             for i in range(kh) for j in range(kw)]
-    yc = np.zeros((o, b_ * ho * wo), dtype=np.result_type(x.data, weight.data))
+    y = np.zeros((o, b_ * ho * wo), dtype=np.result_type(x.data, weight.data))
     for i, j, hs, ws in taps:
-        yc += weight.data[:, :, i, j] @ xc[:, :, hs, ws].reshape(c, -1)
-    # A C-ordered [B,O,H',W'] output: reductions downstream (batch norm)
-    # sum in memory order, so the layout fixes their rounding.
-    y = np.ascontiguousarray(yc.reshape(o, b_, ho, wo).transpose(1, 0, 2, 3))
+        y += weight.data[:, :, i, j] @ xc[:, :, hs, ws].reshape(c, -1)
 
     def backward(g):
+        g = g.reshape(o, -1)
         if weight.requires_grad:
-            g_l = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, o)
+            g_l = np.ascontiguousarray(g.T)
             gw = np.empty(weight.shape, g.dtype)    # every tap slice is written once
             for i, j, hs, ws in taps:
                 gw[:, :, i, j] = (xc[:, :, hs, ws].reshape(c, -1) @ g_l).T
             weight.accumulate_grad(gw)
         if x.requires_grad:
-            g_c = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, -1)
-            gxc = np.zeros_like(xc)
+            gxc = np.zeros(xc.shape, x.dtype)
             for i, j, hs, ws in taps:
-                gxc[:, :, hs, ws] += (weight.data[:, :, i, j].T @ g_c).reshape(
+                gxc[:, :, hs, ws] += (weight.data[:, :, i, j].T @ g).reshape(
                     c, b_, ho, wo)
-            x.accumulate_grad(gxc[:, :, padding:padding + h,
-                                  padding:padding + w].transpose(1, 0, 2, 3))
-    return make_node(y, (x, weight), "conv2d", backward)
+            x.accumulate_grad(gxc[:, :, padding:padding + h, padding:padding + w])
+    return make_node(y.reshape(o, b_, ho, wo), (x, weight), "conv2d", backward)
 
 
 def temporal_conv3(x, weight, bias=None):
@@ -124,13 +124,12 @@ def temporal_conv3(x, weight, bias=None):
     pad = [(0, 0)] * xd.ndim
     pad[1] = (1, 1)
     xp = np.pad(xd, pad)
-    # With spatial axes the output is stored channel-major per clip ([B,O,T,*S]
-    # in memory, as a (3,1,1) 3D conv lays it out). A per-channel reduction
-    # downstream (the TM block's batch norm) then sums each channel's T*S
-    # values as one contiguous run, in the order it would over [B,O,T,*S].
+    # With spatial axes the output is stored channel-major, [O,B,T,*S] in
+    # memory, the backbone's layout: the TM block hands it to its batch norm
+    # as [O,B,T,*S] without a copy.
     dtype = np.result_type(xd, weight.data)
     if xd.ndim > 3:
-        y = np.zeros((xd.shape[0], co, t) + xd.shape[3:], dtype=dtype).swapaxes(1, 2)
+        y = np.moveaxis(np.zeros((co,) + xd.shape[:2] + xd.shape[3:], dtype=dtype), 0, 2)
     else:
         y = np.zeros((xd.shape[0], t, co), dtype=dtype)
     # One contraction per tap; each tap is a shifted window of the padded input.
@@ -174,26 +173,44 @@ def linear(x, weight, bias):
              f"linear weight must have shape (C_out, {ci}), got {weight.shape}")
     co = weight.shape[0]
     _require(bias.shape == (co,), f"linear bias must have shape ({co},)")
+    # A C-ordered copy of a strided input (the backbone's pooled features,
+    # a transposed view): BLAS can round a product differently by layout.
+    xd = np.ascontiguousarray(x.data)
 
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(g @ weight.data)
         g2 = g.reshape(-1, co)
         if weight.requires_grad:
-            weight.accumulate_grad(g2.T @ x.data.reshape(-1, ci))
+            weight.accumulate_grad(g2.T @ xd.reshape(-1, ci))
         if bias.requires_grad:
             bias.accumulate_grad(g2.sum(axis=0))
-    return make_node(x.data @ weight.data.T + bias.data, (x, weight, bias), "linear",
-                     backward)
+    return make_node(xd @ weight.data.T + bias.data, (x, weight, bias), "linear", backward)
 
 
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
 
-def batch_norm(x, alpha, beta, running_mean, running_var, axis, training, relu=False):
-    """Batch normalization over every axis except ``axis`` (the channel axis).
+def _channel_sum(a):
+    """Per-channel sums of a [C, N, *R] array, rounded the same for any memory layout.
 
+    Each of the C*N runs a[c, n] (its R values, none for a 2D array) is
+    summed pairwise, then each channel adds its N run sums in order of n.
+    For a C-ordered [N, C, *R] activation this is the order, and so the
+    rounding, of ``x.sum(axis=(0, 2, ...))``.
+    """
+    c, n = a.shape[:2]
+    part = np.ascontiguousarray(a).reshape(c, n, -1).sum(axis=2)
+    return np.ascontiguousarray(part.T).sum(axis=0)
+
+
+def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
+    """Batch normalization of a [C, N, *R] input: C channels, N samples of R values.
+
+    Each channel is normalized over its N*R values; every per-channel sum
+    (mean, variance and the two of the backward pass) is a
+    :func:`_channel_sum`, so its rounding depends on the shape alone.
     Inference: y = (x - m) / sqrt(var + BN_EPS) * alpha + beta with the
     accumulated running statistics, run as the per-channel affine map
     y = A * x + B with A = alpha / sqrt(var + BN_EPS) and B = beta - m * A.
@@ -204,20 +221,19 @@ def batch_norm(x, alpha, beta, running_mean, running_var, axis, training, relu=F
     the output in place; in training mode the result is bit-equal to
     ``relu(batch_norm(...))``, gradients included.
     """
-    axis = axis % x.ndim
-    c = x.shape[axis]
+    _require(x.ndim >= 2, f"batch_norm input must be [C, N, *R], got {x.shape}")
+    c = x.shape[0]
     for name, p in (("alpha", alpha), ("beta", beta),
                     ("running_mean", running_mean), ("running_var", running_var)):
         _require(p.shape == (c,), f"batch_norm {name} must have shape ({c},), got {p.shape}")
-    reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
-    n = int(np.prod([x.shape[i] for i in reduce_axes])) if reduce_axes else 1
-    bshape = tuple(c if i == axis else 1 for i in range(x.ndim))
+    bshape = (c,) + (1,) * (x.ndim - 1)
 
     if training:
         _require(x.size > 0, "batch_norm training mode requires a non-empty batch")
-        mu = x.data.mean(axis=reduce_axes)
+        n = x.size // c
+        mu = _channel_sum(x.data) / n
         xc = x.data - mu.reshape(bshape)
-        var = np.mean(xc * xc, axis=reduce_axes)
+        var = _channel_sum(xc * xc) / n
         if not np.all(np.isfinite(var)):    # also catches a non-finite mean
             raise NumericsError("non-finite batch statistics in op 'batch_norm'")
         running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1 - BN_MOMENTUM) * mu
@@ -242,14 +258,14 @@ def batch_norm(x, alpha, beta, running_mean, running_var, axis, training, relu=F
         if alpha.requires_grad:
             xh = xhat if training else \
                 (x.data - running_mean.data.reshape(bshape)) * inv.reshape(bshape)
-            alpha.accumulate_grad(np.sum(g * xh, axis=reduce_axes))
+            alpha.accumulate_grad(_channel_sum(g * xh))
         if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=reduce_axes))
+            beta.accumulate_grad(_channel_sum(g))
         if x.requires_grad:
             ga = g * alpha.data.reshape(bshape)
             if training:
-                s1 = ga.sum(axis=reduce_axes).reshape(bshape)
-                s2 = np.sum(ga * xhat, axis=reduce_axes).reshape(bshape)
+                s1 = _channel_sum(ga).reshape(bshape)
+                s2 = _channel_sum(ga * xhat).reshape(bshape)
                 gx = (inv.reshape(bshape) / n) * (n * ga - s1 - xhat * s2)
             else:
                 gx = ga * inv.reshape(bshape)
@@ -290,25 +306,25 @@ def temporal_max_pool(x):
 
 
 def max_pool2d(x):
-    """The stem's 3x3, stride-2, padding-1 spatial max pool: [B,C,H,W] -> [B,C,H',W'].
+    """The stem's 3x3, stride-2, padding-1 spatial max pool: [C,B,H,W] -> [C,B,H',W'].
 
     H' = (H - 1) // 2 + 1, likewise W'. Gradient is routed to the first
     occurrence of each window max, in row-major window order.
     """
     _require(x.ndim == 4, f"max_pool2d input must be 4D, got {x.shape}")
-    b_, c, h, w = x.shape
+    c, b_, h, w = x.shape
     ho, wo = (h - 1) // 2 + 1, (w - 1) // 2 + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
     win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    win = win[:, :, ::2, ::2].reshape(b_, c, ho, wo, 9)
+    win = win[:, :, ::2, ::2].reshape(c, b_, ho, wo, 9)
     idx = np.argmax(win, axis=-1)
     y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
         gxp = np.zeros_like(xp)
         ii, jj = np.unravel_index(idx, (3, 3))
-        bi, ci, hi, wi = np.indices(idx.shape)
-        np.add.at(gxp, (bi, ci, hi * 2 + ii, wi * 2 + jj), g)
+        ci, bi, hi, wi = np.indices(idx.shape)
+        np.add.at(gxp, (ci, bi, hi * 2 + ii, wi * 2 + jj), g)
         x.accumulate_grad(gxp[:, :, 1:1 + h, 1:1 + w])
     return make_node(y, (x,), "max_pool2d", backward)
 
@@ -328,7 +344,7 @@ def softmax(x):
 def mean_over(x, axis):
     """Mean over one axis or a tuple of axes.
 
-    Averages per-snippet scores (``axis=1``) and pools [B,C,H,W] feature
+    Averages per-snippet scores (``axis=1``) and pools [C,B,H,W] feature
     maps spatially (``axis=(2, 3)``).
     """
     axes = axis if isinstance(axis, tuple) else (axis,)

@@ -78,9 +78,16 @@ class Tensor:
         return t
 
     def accumulate_grad(self, g):
+        """Add ``g`` to this tensor's gradient.
+
+        The first gradient is copied into a buffer laid out like ``data``
+        (a ``-0.0`` stays ``-0.0``); later ones are added to it in place.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None

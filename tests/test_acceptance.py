@@ -87,7 +87,8 @@ def test_c05_forward_oracle_equivalence():
         h, w = int(rng.integers(k, k + 4)), int(rng.integers(k, k + 4))
         x, wt, bi = (rng.standard_normal((b, c, h, w)),
                      rng.standard_normal((o, c, k, k)), rng.standard_normal(o))
-        got = ops.conv2d(t64(x), t64(wt), stride=s, padding=p).data
+        got = ops.conv2d(t64(x.transpose(1, 0, 2, 3)), t64(wt), stride=s,
+                         padding=p).data.transpose(1, 0, 2, 3)
         assert ref.relative_error(got, ref.conv2d_ref(x, wt, s, p)) < 1e-6
         instances += 1
 
@@ -116,9 +117,9 @@ def test_c05_forward_oracle_equivalence():
         alpha, beta = rng.standard_normal(cc), rng.standard_normal(cc)
         mean, var = rng.standard_normal(cc), rng.uniform(0.5, 2, cc)
         for training_mode in (False, True):
-            got = ops.batch_norm(t64(xb), t64(alpha), t64(beta), t64(mean.copy()),
-                                 t64(var.copy()), axis=axis,
-                                 training=training_mode).data
+            got = np.moveaxis(ops.batch_norm(
+                t64(np.moveaxis(xb, axis, 0)), t64(alpha), t64(beta), t64(mean.copy()),
+                t64(var.copy()), training=training_mode).data, 0, axis)
             want = ref.batch_norm_ref(xb, alpha, beta, mean, var, axis, training_mode)
             assert ref.relative_error(got, want) < 1e-6
             instances += 1
@@ -144,10 +145,11 @@ def test_c06_inflation_invariant():
     rng = np.random.default_rng(1)
     frame = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
     w3 = (rng.standard_normal((8, 3, 7, 7)) * np.sqrt(2 / (3 * 49))).astype(np.float32)
-    want = ops.conv2d(Tensor(frame), Tensor(w3), stride=2, padding=3).data
+    want = ops.conv2d(Tensor(frame.transpose(1, 0, 2, 3)), Tensor(w3), stride=2,
+                      padding=3).data
     worst = 0.0
     for n in (1, 3, 5):
-        stacked = Tensor(np.tile(frame, (1, n, 1, 1)))
+        stacked = Tensor(np.tile(frame, (1, n, 1, 1)).transpose(1, 0, 2, 3))
         wn = Tensor(model.inflate_first_conv(w3, n).astype(np.float32))
         got = ops.conv2d(stacked, wn, stride=2, padding=3).data
         worst = max(worst, float(np.abs(got - want).max()))
@@ -162,10 +164,10 @@ def test_c07_tm_init_invariant():
     x = rng.standard_normal((2, c, t, 4, 4)).astype(np.float32)
     p = model.init_tm_block(c)
     y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)), Tensor(p["conv/w"]))
-    y = ops.batch_norm(y, Tensor(p["bn/alpha"]), Tensor(p["bn/beta"]),
-                       Tensor(p["bn/mean"]), Tensor(p["bn/var"]),
-                       axis=2, training=False)
-    y = ops.relu(y).data.transpose(0, 2, 1, 3, 4)
+    y = ops.batch_norm(y.transpose((2, 0, 1, 3, 4)), Tensor(p["bn/alpha"]),
+                       Tensor(p["bn/beta"]), Tensor(p["bn/mean"]), Tensor(p["bn/var"]),
+                       training=False)
+    y = ops.relu(y).data.transpose(1, 0, 2, 3, 4)
     worst = 0.0
     for ti in range(1, t - 1):
         want = np.maximum(x[:, :, ti - 1:ti + 2].mean(axis=(1, 2)), 0)

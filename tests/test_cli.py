@@ -185,6 +185,13 @@ class TestGradcheckCommand:
         assert "seed: must be >= 0, got -4" in err
         assert "ops below" not in out
 
+    def test_malformed_env_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("STNET_SEED", "abc")
+        code, out, err = run_cli(capsys, "gradcheck", "--op", "relu")
+        assert code == 1
+        assert "STNET_SEED: expected an integer, got 'abc'" in err
+        assert "ops below" not in out
+
 
 def test_unknown_verb_and_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,12 @@
 """conv2d against a per-tap einsum reference, compared bit for bit.
 
-The reference contracts each kernel tap with ``np.einsum(...,
-optimize=True)``. ``ops.conv2d`` issues, per tap, the matrix products
-that this einsum issues, on the same operand layouts, so the two must
-agree in every bit; training outcomes that hinge on float rounding stay
-put only while they do. The float32 output and every gradient are
-compared with ``tobytes()``.
+The reference contracts each kernel tap of an NCHW input with
+``np.einsum(..., optimize=True)``. ``ops.conv2d``, on the same input
+held channel-major, issues per tap the matrix products that this einsum
+issues, on the same operand layouts, so the two must agree in every bit;
+training outcomes that hinge on float rounding stay put only while they
+do. The float32 output and every gradient are compared with
+``tobytes()``.
 """
 
 import numpy as np
@@ -76,14 +77,17 @@ def test_conv2d_bit_identical_to_einsum_reference(geometry, which):
     ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
     g = rng.standard_normal((b_, o, ho, wo)).astype(np.float32)
 
-    xt = Tensor(x, requires_grad=x_grad)
+    xt = Tensor(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), requires_grad=x_grad)
     wtt = Tensor(wt, requires_grad=weight_grad)
     y = ops.conv2d(xt, wtt, stride=s, padding=p)
-    y.backward(g)
+    y.backward(np.ascontiguousarray(g.transpose(1, 0, 2, 3)))
     want = einsum_conv2d(x, wt, s, p, g, x_grad=x_grad, weight_grad=weight_grad)
 
+    def nchw(a):
+        return None if a is None else a.transpose(1, 0, 2, 3)
+
     for name, got, ref in zip(("y", "x.grad", "weight.grad"),
-                              (y.data, xt.grad, wtt.grad), want):
+                              (nchw(y.data), nchw(xt.grad), wtt.grad), want):
         if ref is None:
             assert got is None, name
             continue

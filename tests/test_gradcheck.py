@@ -90,10 +90,10 @@ def test_op_gradients(op_name):
 # Fixed shapes for the conv geometries that the random draws of
 # ``_check_conv2d`` (kernel <= 3, padding <= 2) never reach: the 7x7/2
 # stem with padding 3 of the ResNet presets and the 1x1/2 downsample
-# shortcut.
+# shortcut. Inputs are channel-major, [C, B, H, W].
 CONV2D_GEOMETRIES = {
-    "stem_7x7_s2_p3": ((1, 2, 9, 9), (3, 2, 7, 7), 2, 3),
-    "downsample_1x1_s2_p0": ((2, 3, 5, 5), (4, 3, 1, 1), 2, 0),
+    "stem_7x7_s2_p3": ((2, 1, 9, 9), (3, 2, 7, 7), 2, 3),
+    "downsample_1x1_s2_p0": ((3, 2, 5, 5), (4, 3, 1, 1), 2, 0),
 }
 
 

@@ -1,6 +1,7 @@
 """Model assembly: building, initialization schemes, forward paths, checkpoints."""
 
 import dataclasses
+import os
 from pathlib import Path
 
 import numpy as np
@@ -200,10 +201,26 @@ class TestBuild:
         ("stage0/conv/w", "stage0"), ("stage2/block0/conv1/w", "stage2/block0"),
         ("tm3/conv/w", "tm3"), ("head/fc/w", "head")])
     def test_non_finite_forward_names_its_block(self, param, block):
+        # A backbone layer is named once, by its plan name within the block.
+        layer = "head" if block == "head" else param.rsplit("/", 1)[0]
         m = model.build_model(toy_spec(), seed=0).set_mode("infer")
         m.params[param].data[...] = 3e38
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericsError, match=f"^{block}: non-finite values produced"):
+            with pytest.raises(NumericsError, match=f"^{layer}: non-finite values produced"):
+                model.forward(m, batch_for(m.spec))
+
+    @pytest.mark.parametrize("params, where, op", [
+        (("stage2/block0/bn1/alpha",), "stage2/block0/bn1", "batch_norm"),
+        (("stage2/block0/bn2/beta", "stage2/block0/down/bn/beta"), "stage2/block0", "add")])
+    def test_non_finite_batch_norm_and_residual_add_are_named(self, params, where, op):
+        # A batch norm is named by its own plan; the residual add keeps its
+        # block's name.
+        m = model.build_model(toy_spec(), seed=0).set_mode("infer")
+        for param in params:
+            m.params[param].data[...] = 3e38
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError,
+                               match=f"^{where}: non-finite values produced by op '{op}'$"):
                 model.forward(m, batch_for(m.spec))
 
     def test_invalid_spec_reports_field(self):
@@ -223,9 +240,11 @@ class TestInflation:
         rng = np.random.default_rng(1)
         frame = rng.standard_normal((1, 3, 8, 8))
         w3 = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        want = ops.conv2d(Tensor(frame.astype(np.float32)), Tensor(w3), padding=1)
+        want = ops.conv2d(Tensor(frame.transpose(1, 0, 2, 3).astype(np.float32)),
+                          Tensor(w3), padding=1)
         for n in (1, 3, 5):
-            stacked = Tensor(np.tile(frame, (1, n, 1, 1)).astype(np.float32))
+            stacked = Tensor(np.tile(frame, (1, n, 1, 1)).transpose(1, 0, 2, 3)
+                             .astype(np.float32))
             wn = Tensor(model.inflate_first_conv(w3, n).astype(np.float32))
             got = ops.conv2d(stacked, wn, padding=1)
             assert np.abs(got.data - want.data).max() < 1e-5
@@ -249,10 +268,10 @@ class TestTmInit:
         x = rng.standard_normal((2, c, t, 3, 3)).astype(np.float32)
         p = model.init_tm_block(c)
         y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)), Tensor(p["conv/w"]))
-        y = ops.batch_norm(y, Tensor(p["bn/alpha"]), Tensor(p["bn/beta"]),
-                           Tensor(p["bn/mean"]), Tensor(p["bn/var"]),
-                           axis=2, training=False)
-        y = ops.relu(y).data.transpose(0, 2, 1, 3, 4)
+        y = ops.batch_norm(y.transpose((2, 0, 1, 3, 4)), Tensor(p["bn/alpha"]),
+                           Tensor(p["bn/beta"]), Tensor(p["bn/mean"]), Tensor(p["bn/var"]),
+                           training=False)
+        y = ops.relu(y).data.transpose(1, 0, 2, 3, 4)
         for ti in range(1, t - 1):
             want = np.maximum(x[:, :, ti - 1:ti + 2].mean(axis=(1, 2)), 0)
             for ci in range(c):
@@ -379,6 +398,26 @@ class TestTxb:
 
 
 class TestCheckpoint:
+    def test_temporary_file_is_synced_before_it_replaces_the_checkpoint(
+            self, tmp_path, monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def fsync_rec(fd):
+            events.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+            fsync(fd)
+
+        def replace_rec(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync_rec)
+        monkeypatch.setattr(os, "replace", replace_rec)
+        path = tmp_path / "model.stnc"
+        checkpoint.save_checkpoint(model.build_model(tiny_spec(), seed=0), path)
+        assert [e[0] for e in events] == ["fsync", "replace"]
+        assert events[0][1:] == events[1][1:] == (path.stat().st_ino, path.stat().st_size)
+
     def test_round_trip_bitwise_logits(self, tmp_path):
         spec = tiny_spec()
         m = model.build_model(spec, seed=15)
@@ -746,17 +785,17 @@ class TestGraphRelease:
 
 
 def _bn_train(x, alpha, beta):
-    c = x.shape[1]
+    c = x.shape[0]
     return ops.batch_norm(x, alpha, beta, Tensor(np.zeros(c)), Tensor(np.ones(c)),
-                          axis=1, training=True)
+                          training=True)
 
 
 # Each differentiable op, called on tensors of the given input shapes.
 GRAPH_RULE_CASES = {
-    "conv2d": (lambda x, w: ops.conv2d(x, w, padding=1), [(2, 3, 4, 4), (2, 3, 3, 3)]),
+    "conv2d": (lambda x, w: ops.conv2d(x, w, padding=1), [(3, 2, 4, 4), (2, 3, 3, 3)]),
     "temporal_conv3": (ops.temporal_conv3, [(2, 3, 4), (5, 4, 3), (5,)]),
     "linear": (ops.linear, [(2, 4), (3, 4), (3,)]),
-    "batch_norm": (_bn_train, [(4, 3, 2), (3,), (3,)]),
+    "batch_norm": (_bn_train, [(3, 4, 2), (3,), (3,)]),
     "relu": (ops.relu, [(2, 3)]),
     "temporal_max_pool": (ops.temporal_max_pool, [(2, 3, 4)]),
     "max_pool2d": (ops.max_pool2d, [(1, 2, 4, 4)]),
@@ -795,10 +834,10 @@ class TestPlanGeometry:
     @pytest.mark.parametrize("preset", arch.PRESETS)
     def test_executed_geometry_matches_plans(self, preset, monkeypatch):
         # Every conv2d and batch_norm call of an infer forward runs with its
-        # plan's stride, padding and output shape. The batch norm of every
-        # (conv, bn) pair normalizes axis 1 of a [B*T,C,H,W] activation; a tm
-        # block's normalizes axis 2 of [B,T,C,H,W], and the TXB head's axis 2
-        # of a [B,T,C] sequence.
+        # plan's stride, padding and output shape. Every activation is
+        # channel-major: the batch norm of every (conv, bn) pair takes
+        # [C, B*T, H, W], a tm block's takes [C, B, T, H, W], and the TXB
+        # head's takes the [C, B*T] sequence.
         spec = arch.load_preset(preset)
         if spec.stages:
             spec = arch.with_overrides(spec, t=2, res=32)
@@ -809,17 +848,14 @@ class TestPlanGeometry:
         calls = []
         conv2d, batch_norm = ops.conv2d, ops.batch_norm
 
-        def record(plan, geometry, out):
-            calls.append((plan.name, geometry, out.shape))
+        def conv2d_rec(x, weight, stride=1, padding=0):
+            out = conv2d(x, weight, stride=stride, padding=padding)
+            calls.append((owner[id(weight)].name, (stride, padding), out.shape))
             return out
 
-        def conv2d_rec(x, weight, stride=1, padding=0):
-            return record(owner[id(weight)], (stride, padding),
-                          conv2d(x, weight, stride=stride, padding=padding))
-
-        def batch_norm_rec(x, alpha, *args, axis, **kwargs):
-            return record(owner[id(alpha)], axis,
-                          batch_norm(x, alpha, *args, axis=axis, **kwargs))
+        def batch_norm_rec(x, alpha, *args, **kwargs):
+            calls.append((owner[id(alpha)].name, x.shape))
+            return batch_norm(x, alpha, *args, **kwargs)
 
         monkeypatch.setattr(ops, "conv2d", conv2d_rec)
         monkeypatch.setattr(ops, "batch_norm", batch_norm_rec)
@@ -830,11 +866,14 @@ class TestPlanGeometry:
             model.forward(m, Tensor(np.zeros((b, spec.t, spec.feature_dim), np.float32)))
 
         def expected(p):
+            t, c = p.out_shape[:2]
             if p.kind == "conv2d":
-                return p.name, (p.stride, p.padding), (b * spec.t,) + p.out_shape[1:]
-            if len(p.out_shape) == 4 and not p.name.startswith("tm"):
-                return p.name, 1, (b * spec.t,) + p.out_shape[1:]
-            return p.name, 2, (b,) + p.out_shape
+                return p.name, (p.stride, p.padding), (c, b * t) + p.out_shape[2:]
+            if p.name.startswith("tm"):
+                return p.name, (c, b, t) + p.out_shape[2:]
+            if len(p.out_shape) == 4:
+                return p.name, (c, b * t) + p.out_shape[2:]
+            return p.name, (c, b * t)
         assert calls == [expected(p) for p in plans]
 
 

@@ -30,20 +30,21 @@ class TestConv2d:
     def test_super_image_stem_shape(self):
         # 5 stacked frames -> 15 input channels; 7x7 stride-2 stem halves 8 -> 4
         rng = np.random.default_rng(0)
-        x = t64(rng.standard_normal((1, 15, 8, 8)))
+        x = t64(rng.standard_normal((15, 1, 8, 8)))
         w = t64(rng.standard_normal((64, 15, 7, 7)))
         y = ops.conv2d(x, w, stride=2, padding=3)
-        assert y.shape == (1, 64, 4, 4)
+        assert y.shape == (64, 1, 4, 4)
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3, 3, 3))
-        got = ops.conv2d(t64(x), t64(w), stride=1, padding=1)
-        assert ref.relative_error(got.data, ref.conv2d_ref(x, w, 1, 1)) < 1e-6
+        got = ops.conv2d(t64(x.transpose(1, 0, 2, 3)), t64(w), stride=1, padding=1)
+        assert ref.relative_error(got.data.transpose(1, 0, 2, 3),
+                                  ref.conv2d_ref(x, w, 1, 1)) < 1e-6
 
     def test_channel_mismatch_raises(self):
-        x = t64(np.zeros((1, 3, 4, 4)))
+        x = t64(np.zeros((3, 1, 4, 4)))
         w = t64(np.zeros((2, 4, 3, 3)))
         with pytest.raises(ValueError, match="channel mismatch"):
             ops.conv2d(x, w)
@@ -72,16 +73,14 @@ class TestConv3dT311:
         got = conv3d_t311(x, w, b)
         assert ref.relative_error(got, ref.conv3d_t311_ref(x, w, b)) < 1e-6
 
-    def test_channel_sums_follow_clip_major_layout(self):
-        # Per-channel sums over the [B,T,C,H,W] output (the TM block's batch
-        # norm) must add in the order of a contiguous [B,C,T,H,W] 3D-conv
-        # output, or training results depend on the axis order of the call.
+    def test_output_is_stored_channel_major(self):
+        # With spatial axes, the [B,T,O,*S] output is a view of [O,B,T,*S]
+        # memory: the TM block hands its transpose to the batch norm uncopied.
         rng = np.random.default_rng(6)
-        x = Tensor(rng.standard_normal((4, 4, 8, 8, 8)).astype(np.float32))
-        w = Tensor(rng.standard_normal((8, 8, 3)).astype(np.float32))
-        y = ops.temporal_conv3(x, w, Tensor(np.zeros(8, np.float32))).data
-        clip_major = np.ascontiguousarray(y.transpose(0, 2, 1, 3, 4))
-        assert np.array_equal(y.sum(axis=(0, 1, 3, 4)), clip_major.sum(axis=(0, 2, 3, 4)))
+        x = Tensor(rng.standard_normal((2, 3, 4, 5, 5)).astype(np.float32))
+        y = ops.temporal_conv3(x, Tensor(rng.standard_normal((6, 4, 3)).astype(np.float32)))
+        assert y.shape == (2, 3, 6, 5, 5)
+        assert y.data.transpose(2, 0, 1, 3, 4).flags.c_contiguous
 
     def test_wrong_weight_shape_rejected(self):
         x = t64(np.zeros((1, 3, 2, 4, 4)))
@@ -166,27 +165,27 @@ class TestBatchNorm:
 
     def test_identity_configuration(self):
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((3, 4))
+        x = rng.standard_normal((4, 3))
         p = self._params(4)
         y = ops.batch_norm(t64(x), p["alpha"], p["beta"], p["mean"], p["var"],
-                           axis=1, training=False)
+                           training=False)
         assert np.allclose(y.data, x)
 
     def test_inference_formula(self):
         p = self._params(1, alpha=[3.0], beta=[1.0], mean=[2.0],
                          var=[4.0 - ops.BN_EPS])
         y = ops.batch_norm(t64([[4.0]]), p["alpha"], p["beta"], p["mean"],
-                           p["var"], axis=1, training=False)
+                           p["var"], training=False)
         assert np.allclose(y.data, 3 * (4 - 2) / 2 + 1)
 
     def test_training_normalizes_batch(self):
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((64, 5)) * 2 + 3
+        x = rng.standard_normal((5, 64)) * 2 + 3
         p = self._params(5)
         y = ops.batch_norm(t64(x), p["alpha"], p["beta"], p["mean"], p["var"],
-                           axis=1, training=True)
-        assert np.abs(y.data.mean(axis=0)).max() < 1e-5
-        assert np.abs(y.data.var(axis=0) - 1).max() < 1e-5
+                           training=True)
+        assert np.abs(y.data.mean(axis=1)).max() < 1e-5
+        assert np.abs(y.data.var(axis=1) - 1).max() < 1e-5
 
     def test_matches_oracle_infer_and_train(self):
         rng = np.random.default_rng(11)
@@ -195,38 +194,66 @@ class TestBatchNorm:
         mean, var = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
         for training in (False, True):
             p = self._params(3, alpha=alpha, beta=beta, mean=mean, var=var)
-            got = ops.batch_norm(t64(x), p["alpha"], p["beta"], p["mean"],
-                                 p["var"], axis=1, training=training)
+            got = ops.batch_norm(t64(x.transpose(1, 0, 2, 3)), p["alpha"], p["beta"],
+                                 p["mean"], p["var"], training=training)
             want = ref.batch_norm_ref(x, alpha, beta, mean, var, 1, training)
-            assert ref.relative_error(got.data, want) < 1e-6
+            assert ref.relative_error(got.data.transpose(1, 0, 2, 3), want) < 1e-6
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((256, 2)) + 5.0
+        x = rng.standard_normal((2, 256)) + 5.0
         p = self._params(2)
         ops.batch_norm(t64(x), p["alpha"], p["beta"], p["mean"], p["var"],
-                       axis=1, training=True)
+                       training=True)
         # momentum 0.9: new = 0.9 * old + 0.1 * batch
-        assert np.allclose(p["mean"].data, 0.1 * x.mean(axis=0))
+        assert np.allclose(p["mean"].data, 0.1 * x.mean(axis=1))
 
     def test_empty_batch_in_train_mode(self):
         p = self._params(2)
         with pytest.raises(ValueError, match="non-empty"):
-            ops.batch_norm(t64(np.zeros((0, 2))), p["alpha"], p["beta"],
-                           p["mean"], p["var"], axis=1, training=True)
+            ops.batch_norm(t64(np.zeros((2, 0))), p["alpha"], p["beta"],
+                           p["mean"], p["var"], training=True)
 
     def test_non_finite_batch_statistics_raise_before_running_update(self):
         # float32 entries near 1e20 overflow xc*xc, so the batch variance is
         # inf: the op must raise, not return beta and store inf running stats.
-        x = Tensor(np.array([[1e20, 1.0], [-1e20, 2.0]], dtype=np.float32))
+        x = Tensor(np.array([[1e20, -1e20], [1.0, 2.0]], dtype=np.float32))
         p = {k: Tensor(t.data.astype(np.float32)) for k, t in self._params(2).items()}
         before = {k: p[k].data.tobytes() for k in ("mean", "var")}
         with np.errstate(over="ignore"):
             with pytest.raises(NumericsError,
                                match="non-finite batch statistics in op 'batch_norm'"):
                 ops.batch_norm(x, p["alpha"], p["beta"], p["mean"], p["var"],
-                               axis=1, training=True)
+                               training=True)
         assert {k: p[k].data.tobytes() for k in ("mean", "var")} == before
+
+    # (geometry, reduction over the clip-major layout the network carried
+    # before activations were channel-major, the same data channel-major).
+    # Backbone: [B*T, C, H, W] over every axis but C. TM: the [B, T, C, H, W]
+    # view of a [B, C, T, H, W] buffer. TXB head: a [B, T, C] sequence.
+    CLIP_MAJOR_SUMS = {
+        "backbone": ((64, 16, 32, 32), lambda a: a.sum(axis=(0, 2, 3)),
+                     lambda a: a.transpose(1, 0, 2, 3)),
+        "backbone_1x1": ((8, 64, 7, 7), lambda a: a.sum(axis=(0, 2, 3)),
+                         lambda a: a.transpose(1, 0, 2, 3)),
+        "tm": ((16, 32, 4, 16, 16), lambda a: a.swapaxes(1, 2).sum(axis=(0, 1, 3, 4)),
+               lambda a: a.transpose(1, 0, 2, 3, 4)),
+        "txb": ((16, 4, 64), lambda a: a.sum(axis=(0, 1)),
+                lambda a: a.reshape(-1, a.shape[-1]).T),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", sorted(CLIP_MAJOR_SUMS))
+    def test_channel_sum_rounds_as_the_clip_major_sums(self, layout, dtype):
+        # _channel_sum of the channel-major data gives the bytes of numpy's
+        # reduction over the clip-major layout, so training sums did not move
+        # with the layout; a strided view of the data gives them too.
+        shape, clip_major_sum, channel_major = self.CLIP_MAJOR_SUMS[layout]
+        a = (np.random.default_rng(7).standard_normal(shape) + 3).astype(dtype)
+        want = clip_major_sum(a)
+        view = channel_major(a)
+        assert ops._channel_sum(view).tobytes() == want.tobytes()
+        assert ops._channel_sum(np.ascontiguousarray(view)).tobytes() == want.tobytes()
 
     def test_infer_mode_is_affine(self):
         rng = np.random.default_rng(13)
@@ -236,10 +263,10 @@ class TestBatchNorm:
 
         def bn(arr):
             return ops.batch_norm(t64(arr), p["alpha"], p["beta"], p["mean"],
-                                  p["var"], axis=1, training=False).data
+                                  p["var"], training=False).data
 
-        x1, x2 = rng.standard_normal((2, 4, 3))
-        zero = bn(np.zeros((4, 3)))
+        x1, x2 = rng.standard_normal((2, 3, 4))
+        zero = bn(np.zeros((3, 4)))
         assert np.allclose((bn(x1) - zero) + (bn(x2) - zero), bn(x1 + x2) - zero)
 
 
@@ -247,8 +274,7 @@ class TestBatchNormRelu:
     """``batch_norm(..., relu=True)`` against a batch norm followed by a relu."""
 
     @staticmethod
-    def _draw(rng, shape, axis, dtype):
-        c = shape[axis]
+    def _draw(rng, c, dtype):
         return {"alpha": rng.standard_normal(c).astype(dtype),
                 "beta": rng.standard_normal(c).astype(dtype),
                 "mean": rng.standard_normal(c).astype(dtype),
@@ -264,22 +290,17 @@ class TestBatchNormRelu:
         y.backward(g)
         return y.data, x.grad, alpha.grad, beta.grad, mean.data, var.data
 
-    # A [B*T,C,H,W] activation normalized over axis 1, and the TM block's
-    # [B,T,C,H,W] view of a channel-major [B,C,T,H,W] buffer over axis 2.
-    @pytest.mark.parametrize("layout", ["axis1", "tm_axis2"])
-    def test_train_mode_is_byte_equal_to_separate_relu(self, layout):
+    # A backbone [C, B*T, H, W] activation, and a TM block's [C, B, T, H, W].
+    @pytest.mark.parametrize("shape", [(5, 6, 4, 3), (5, 2, 3, 4, 3)], ids=["backbone", "tm"])
+    def test_train_mode_is_byte_equal_to_separate_relu(self, shape):
         rng = np.random.default_rng(21)
-        if layout == "axis1":
-            xd, axis = rng.standard_normal((6, 5, 4, 3)).astype(np.float32), 1
-        else:
-            xd = rng.standard_normal((2, 5, 3, 4, 3)).astype(np.float32).swapaxes(1, 2)
-            axis = 2
-        p = self._draw(rng, xd.shape, axis, np.float32)
+        xd = rng.standard_normal(shape).astype(np.float32)
+        p = self._draw(rng, shape[0], np.float32)
         g = rng.standard_normal(xd.shape).astype(np.float32)
         fused = self._run(lambda x, a, b, m, v: ops.batch_norm(
-            x, a, b, m, v, axis, training=True, relu=True), xd, p, g)
+            x, a, b, m, v, training=True, relu=True), xd, p, g)
         separate = self._run(lambda x, a, b, m, v: ops.relu(ops.batch_norm(
-            x, a, b, m, v, axis, training=True)), xd, p, g)
+            x, a, b, m, v, training=True)), xd, p, g)
         assert 0 < np.count_nonzero(fused[0]) < fused[0].size
         for got, want in zip(fused, separate):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -288,10 +309,14 @@ class TestBatchNormRelu:
     def test_infer_mode_matches_oracle_and_relu(self, dtype, tol):
         rng = np.random.default_rng(22)
         xd = rng.standard_normal((3, 4, 5, 2)).astype(dtype)
-        p = self._draw(rng, xd.shape, 1, dtype)
+        p = self._draw(rng, 4, dtype)
         g = rng.standard_normal(xd.shape).astype(dtype)
+        # The op runs on the channel-major [C, B, H, W] transpose of the NCHW draw.
         y, gx, ga, gb, mean, var = self._run(lambda x, a, b, m, v: ops.batch_norm(
-            x, a, b, m, v, 1, training=False, relu=True), xd, p, g)
+            x, a, b, m, v, training=False, relu=True),
+            np.ascontiguousarray(xd.transpose(1, 0, 2, 3)), p,
+            np.ascontiguousarray(g.transpose(1, 0, 2, 3)))
+        y, gx = y.transpose(1, 0, 2, 3), gx.transpose(1, 0, 2, 3)
         pre = ref.batch_norm_ref(xd.astype(np.float64), p["alpha"], p["beta"],
                                  p["mean"], p["var"], 1, False)
         assert y.dtype == dtype
@@ -315,15 +340,15 @@ class TestBatchNormRelu:
         # float32 activations with one float64 parameter give float64, as the
         # unfolded (x - m) * inv * alpha + beta does.
         rng = np.random.default_rng(23)
-        x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
-        p = self._draw(rng, x.shape, 1, np.float32)
+        x = Tensor(rng.standard_normal((3, 2)).astype(np.float32))
+        p = self._draw(rng, 3, np.float32)
         for name in p:
             q = {k: Tensor(v.astype(np.float64) if k == name else v) for k, v in p.items()}
-            y = ops.batch_norm(x, q["alpha"], q["beta"], q["mean"], q["var"], 1,
+            y = ops.batch_norm(x, q["alpha"], q["beta"], q["mean"], q["var"],
                                training=False, relu=relu)
             assert y.dtype == np.float64, name
         q = {k: Tensor(v) for k, v in p.items()}
-        y = ops.batch_norm(x, q["alpha"], q["beta"], q["mean"], q["var"], 1,
+        y = ops.batch_norm(x, q["alpha"], q["beta"], q["mean"], q["var"],
                            training=False, relu=relu)
         assert y.dtype == np.float32
 
@@ -498,6 +523,23 @@ class TestGraphPlumbing:
         y.backward(np.ones(2))
         assert np.allclose(x.grad, 2.0)
 
+    def test_first_gradient_keeps_negative_zero(self):
+        # The first gradient is copied, not added to zeros (0.0 + -0.0 is +0.0).
+        x = Tensor(np.ones(3, np.float32), requires_grad=True)
+        x.accumulate_grad(np.array([-0.0, 1.0, -0.0], np.float32))
+        assert np.signbit(x.grad).tolist() == [True, False, True]
+        x.accumulate_grad(np.zeros(3, np.float32))
+        assert not np.signbit(x.grad).any()
+
+    def test_first_gradient_takes_the_leaf_layout(self):
+        # A leaf that is a transposed view gets a gradient with its own
+        # strides, whatever the layout of the gradient handed to it.
+        x = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4).T, requires_grad=True)
+        g = np.ascontiguousarray(np.arange(12, dtype=np.float32).reshape(4, 3))
+        x.accumulate_grad(g)
+        assert x.grad.strides == x.data.strides != g.strides
+        assert np.array_equal(x.grad, g)
+
     def test_non_finite_result_raises(self):
         big = Tensor(np.full((1, 2), 3e38, dtype=np.float32), requires_grad=True)
         w = Tensor(np.full((2, 2), 3e38, dtype=np.float32))
@@ -527,7 +569,8 @@ class TestRandomOracleSweep:
             x = rng.standard_normal((b, c, h, w))
             wt = rng.standard_normal((o, c, k, k))
             rng.standard_normal(o)  # the draw of a conv bias: later shapes stay as they were
-            got = ops.conv2d(t64(x), t64(wt), stride=s, padding=p).data
+            got = ops.conv2d(t64(x.transpose(1, 0, 2, 3)), t64(wt), stride=s,
+                             padding=p).data.transpose(1, 0, 2, 3)
             assert ref.relative_error(got, ref.conv2d_ref(x, wt, s, p)) < 1e-6
 
     def test_conv3d_sweep(self):
@@ -568,8 +611,9 @@ class TestRandomOracleSweep:
             for training in (False, True):
                 if training and int(np.prod(shape)) // c < 1:
                     continue
-                got = ops.batch_norm(t64(x), t64(alpha), t64(beta), t64(mean.copy()),
-                                     t64(var.copy()), axis=axis, training=training).data
+                got = np.moveaxis(ops.batch_norm(
+                    t64(np.moveaxis(x, axis, 0)), t64(alpha), t64(beta), t64(mean.copy()),
+                    t64(var.copy()), training=training).data, 0, axis)
                 want = ref.batch_norm_ref(x, alpha, beta, mean, var, axis, training)
                 assert ref.relative_error(got, want) < 1e-6
             x4 = rng.standard_normal((2, 3, int(rng.integers(1, 6)), int(rng.integers(1, 6))))

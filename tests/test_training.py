@@ -141,7 +141,7 @@ class TestTrainLoop:
         cfg = training.TrainConfig(epochs=1, batch_size=16, lr=1e4, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(training.DivergenceError,
-                               match="stage0: non-finite batch statistics in op 'batch_norm'"):
+                               match="stage0/bn: non-finite batch statistics in op 'batch_norm'"):
                 training.train(m, clips, cfg)
         for name, t in m.params.items():
             assert np.all(np.isfinite(t.data)), name
