@@ -30,27 +30,78 @@ def conv2d(x, weight, stride=1, padding=0):
     H' = floor((H + 2*padding - kh) / stride) + 1, likewise W'. There is no
     bias: every conv of the network feeds a batch norm, which cancels it.
 
-    One matrix product per kernel tap (i, j), with no im2col copy. The
-    input, zero-padded to [C, B, H+2p, W+2p] (used as it is without
-    padding), gives each tap's window as a [C, B*H'*W'] matrix, and the
-    [O, B*H'*W'] sum of the products is the output as it stands:
+    Two kernels compute it, with the same bits. ``_conv2d_taps`` copies
+    each kernel tap's window of the zero-padded input out as a
+    [C, B*H'*W'] matrix: 9 copies for a 3x3, 49 for a 7x7.
+    ``_conv2d_shift`` makes no copy per tap. It splits the zero-padded
+    input once into its stride phases: phase (a, b) holds padded rows a,
+    a+s, ... and columns b, b+s, ..., as [C, B*Hq*Wq] with
+    Hq = H' + (kh-1)//s and Wq = W' + (kw-1)//s. Only the phases some tap
+    reads are built: one at stride 1 (the padded input, or the input
+    itself without padding) and one for a 1x1. Tap (i, j) reads phase
+    (i mod s, j mod s) shifted by d = (i//s)*Wq + j//s columns, a view,
+    and adds its product into an [O, B*Hq*Wq] grid whose [:H', :W'] corner
+    of each image is the output:
 
-        forward      y[O, B*H'*W']  += W[:, :, i, j]   @ x_tap[C, B*H'*W']
-        weight grad  gW[:, :, i, j] += (x_tap @ g[B*H'*W', O]).T
-        input grad   gx_tap         += W[:, :, i, j].T @ g[O, B*H'*W']
+        forward      grid[:, q]       += W[:, :, i, j]   @ phase[:, q + d]
+        input grad   gphase[:, q + d] += W[:, :, i, j].T @ g_grid[:, q]
+        weight grad  gW[:, :, i, j]    = (x_tap @ g[B*H'*W', O]).T
 
-    ``g`` is transposed once per backward, for the weight gradient. Each
-    product has the operands, layouts and shape that a per-tap
-    ``np.einsum(..., optimize=True)`` passes to ``matmul``, and the taps
-    accumulate in row-major kernel order, so every element sums its terms
-    in the order, and with the rounding, of such a per-tap contraction.
-    One product per image, or with its operands swapped, would not: BLAS
-    kernels for small or odd-sized matrices can order a dot product
-    differently.
+    g_grid is the output gradient zero-padded onto the grid, and the
+    phase gradients are written back to the input's positions. The weight
+    gradient copies each tap's window x_tap out in both kernels: over the
+    grid its dot products would run over more terms, in another order.
+
+    Why the bits agree: every product has the operands, layouts and
+    shape that a per-tap ``np.einsum(..., optimize=True)`` passes to
+    ``matmul``, up to the grid's extra columns, and every element adds its
+    taps in row-major kernel order. Extra columns are cropped away in the
+    forward and carry zero gradient, so they add exact zeros. One product
+    per image, or with its operands swapped, would not agree: BLAS kernels
+    for small or odd-sized matrices can order a dot product differently.
+    For that reason the shift kernel runs only on products of more than
+    ``BLAS_SMALL_PRODUCT`` multiplications. OpenBLAS's small-matrix
+    kernels, which take the smaller ones, round a column by its place in
+    the product, so the grid's wider product could move the last outputs.
+
+    The rule (``_conv2d_kernel``) reads the shapes alone and is a speed
+    choice, never a numerics fork. It picks the shift kernel when the
+    kernel has more than one tap, the product is above the small-matrix
+    size, and the grid's wasted multiplications per saved copy are at most
+    ``SHIFT_MAX_WASTE`` = 18:
+
+        O * (Hq*Wq - H'*W') <= 18 * H'*W'
+
+    A tap copy moves C*B*H'*W' values; the grid's extra columns cost
+    O*C*B*(Hq*Wq - H'*W') multiplications per tap. Measured with
+    ``tests/conv_paths.py`` (1 BLAS thread, 2-core AVX-512 Xeon): shift
+    time over taps time for the pinned specs' 3x3 and 7x7 convs, forward
+    plus backward at 64 images and forward at 128 (stnet-toy), forward at
+    8 images (stnet-resnet50 at 112x112):
+
+        C->O       k/s  H'xW'  O*waste  fwd+bwd   fwd
+        9->16      3/1  32x32      2.1     0.89  0.83
+        16->16     3/1  32x32      2.1     0.87  0.69
+        16->32     3/2  16x16      4.1     0.86  0.71
+        15->64     7/2  56x56      7.0        -  0.75
+        32->32     3/1  16x16      8.5     0.87  0.80
+        64->64     3/1  28x28      9.5        -  0.99
+        32->64     3/2   8x8      17.0     0.91  0.92
+        128->128   3/2  14x14     18.9        -  1.04
+        64->64     3/1   8x8      36.0     0.98  1.11
+        128->128   3/1  14x14     39.2        -  1.15
+        256->256   3/2   7x7      78.4        -  1.15
+        256->256   3/1   7x7     167.2        -  1.33
+        512->512   3/2   4x4     288.0        -  1.23
+        512->512   3/1   4x4     640.0        -  1.51
+
+    where O*waste = O * (Hq*Wq - H'*W') / (H'*W'). A 1x1 conv has one tap
+    and nothing to save: both kernels take one product, and it stays with
+    the tap kernel.
     """
     _require(x.ndim == 4, f"conv2d input must be 4D, got {x.shape}")
     _require(weight.ndim == 4, f"conv2d weight must be 4D, got {weight.shape}")
-    c, b_, h, w = x.shape
+    c, images, h, w = x.shape
     o, ci, kh, kw = weight.shape
     _require(ci == c, f"conv2d channel mismatch: input has {c}, weight expects {ci}")
     _require(stride >= 1 and padding >= 0, "conv2d stride must be >=1 and padding >=0")
@@ -58,7 +109,32 @@ def conv2d(x, weight, stride=1, padding=0):
     wo = (w + 2 * padding - kw) // stride + 1
     _require(ho >= 1 and wo >= 1,
              f"conv2d output would be empty for input {x.shape} and kernel {weight.shape}")
+    kernel = _conv2d_kernel(images, c, o, kh, kw, stride, ho, wo)
+    return kernel(x, weight, stride, padding)
 
+
+# The rule of ``conv2d``: the most grid multiplications wasted per saved
+# tap-copy value for which the shift kernel is the faster, and the largest
+# product (in multiplications) that OpenBLAS's small-matrix sgemm kernels take.
+SHIFT_MAX_WASTE = 18
+BLAS_SMALL_PRODUCT = 100 ** 3
+
+
+def _conv2d_kernel(images, c, o, kh, kw, stride, ho, wo):
+    """The conv2d kernel for this geometry: ``_conv2d_shift`` or ``_conv2d_taps``."""
+    hq, wq = ho + (kh - 1) // stride, wo + (kw - 1) // stride
+    if (kh * kw > 1 and o * c * images * ho * wo > BLAS_SMALL_PRODUCT
+            and o * (hq * wq - ho * wo) <= SHIFT_MAX_WASTE * ho * wo):
+        return _conv2d_shift
+    return _conv2d_taps
+
+
+def _conv2d_taps(x, weight, stride, padding):
+    """conv2d by one copied [C, B*H'*W'] window of the padded input per tap."""
+    c, b_, h, w = x.shape
+    o, _, kh, kw = weight.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
     if padding:
         xc = np.zeros((c, b_, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         xc[:, :, padding:padding + h, padding:padding + w] = x.data
@@ -88,6 +164,83 @@ def conv2d(x, weight, stride=1, padding=0):
                     c, b_, ho, wo)
             x.accumulate_grad(gxc[:, :, padding:padding + h, padding:padding + w])
     return make_node(y.reshape(o, b_, ho, wo), (x, weight), "conv2d", backward)
+
+
+def _phase_rows(n, q, phase, stride, padding):
+    """(phase slice, input slice) along one axis: the phase's rows that hold input.
+
+    Phase row r, of ``q``, is padded row ``phase + stride*r``, which is
+    input row ``phase + stride*r - padding`` of ``n``.
+    """
+    r0 = max(0, -(-(padding - phase) // stride))
+    r1 = max(r0, min(q, -(-(n + padding - phase) // stride)))
+    i0 = phase + stride * r0 - padding
+    return slice(r0, r1), slice(i0, i0 + stride * (r1 - r0), stride)
+
+
+def _conv2d_shift(x, weight, stride, padding):
+    """conv2d by column-offset views of the padded input's stride phases."""
+    c, b_, h, w = x.shape
+    o, _, kh, kw = weight.shape
+    s = stride
+    ho = (h + 2 * padding - kh) // s + 1
+    wo = (w + 2 * padding - kw) // s + 1
+    hq, wq = ho + (kh - 1) // s, wo + (kw - 1) // s
+    n = b_ * hq * wq
+    # Grid columns from the first to the last output position.
+    span = n - (hq - ho) * wq - (wq - wo)
+    # Phase (a, b) holds padded rows a, a+s, ... and columns b, b+s, ..., as
+    # [C, B, Hq, Wq]; only the phases some tap reads are built.
+    cuts = {(a, b): (_phase_rows(h, hq, a, s, padding), _phase_rows(w, wq, b, s, padding))
+            for a in range(min(s, kh)) for b in range(min(s, kw))}
+    if s == 1 and padding == 0:
+        phases = {(0, 0): x.data}
+    else:
+        phases = {}
+        for ab, ((pr, xr), (pc, xcol)) in cuts.items():
+            phases[ab] = np.zeros((c, b_, hq, wq), x.dtype)
+            phases[ab][:, :, pr, pc] = x.data[:, :, xr, xcol]
+    flat = {ab: ph.reshape(c, n) for ab, ph in phases.items()}
+    taps = [(i, j, (i % s, j % s), (i // s) * wq + j // s)
+            for i in range(kh) for j in range(kw)]
+    grid = np.zeros((o, n), np.result_type(x.data, weight.data))
+    prod = np.empty((o, span), grid.dtype)
+    for i, j, ab, d in taps:
+        np.matmul(weight.data[:, :, i, j], flat[ab][:, d:d + span], out=prod)
+        grid[:, :span] += prod
+    y = grid.reshape(o, b_, hq, wq)
+    if (hq, wq) != (ho, wo):
+        y = np.ascontiguousarray(y[:, :, :ho, :wo])
+
+    def backward(g):
+        if weight.requires_grad:
+            g_l = np.ascontiguousarray(g.reshape(o, -1).T)
+            gw = np.empty(weight.shape, g.dtype)    # every tap slice is written once
+            for i, j, ab, _ in taps:
+                win = phases[ab][:, :, i // s:i // s + ho, j // s:j // s + wo]
+                gw[:, :, i, j] = (win.reshape(c, -1) @ g_l).T
+            weight.accumulate_grad(gw)
+        if x.requires_grad:
+            if (hq, wq) == (ho, wo):
+                gg = g.reshape(o, n)
+            else:
+                gg = np.zeros((o, b_, hq, wq), g.dtype)
+                gg[:, :, :ho, :wo] = g
+                gg = gg.reshape(o, n)[:, :span]
+            gflat = {ab: np.zeros((c, n), x.dtype) for ab in phases}
+            prod = np.empty((c, span), x.dtype)
+            for i, j, ab, d in taps:
+                np.matmul(weight.data[:, :, i, j].T, gg, out=prod)
+                gflat[ab][:, d:d + span] += prod
+            if s == 1:
+                gx = gflat[0, 0].reshape(c, b_, hq, wq)[:, :, padding:padding + h,
+                                                         padding:padding + w]
+            else:
+                gx = np.zeros(x.shape, x.dtype)
+                for ab, ((pr, xr), (pc, xcol)) in cuts.items():
+                    gx[:, :, xr, xcol] = gflat[ab].reshape(c, b_, hq, wq)[:, :, pr, pc]
+            x.accumulate_grad(gx)
+    return make_node(y, (x, weight), "conv2d", backward)
 
 
 def temporal_conv3(x, weight, bias=None):
@@ -239,8 +392,11 @@ def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
         running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1 - BN_MOMENTUM) * mu
         running_var.data[...] = BN_MOMENTUM * running_var.data + (1 - BN_MOMENTUM) * var
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = xc * inv.reshape(bshape)
-        y = xhat * alpha.data.reshape(bshape) + beta.data.reshape(bshape)
+        # In place, rounded as the out-of-place forms: xc becomes xhat, and
+        # y = xhat * alpha gets beta added.
+        xhat = np.multiply(xc, inv.reshape(bshape), out=xc)
+        y = xhat * alpha.data.reshape(bshape)
+        y += beta.data.reshape(bshape)
     else:
         inv = 1.0 / np.sqrt(running_var.data + BN_EPS)
         a = alpha.data * inv

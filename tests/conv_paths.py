@@ -1,0 +1,113 @@
+"""Which conv2d kernel is faster, per conv of the pinned specs? Times both.
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tests/conv_paths.py [--reps N]
+
+For every conv2d plan of ``stnet-toy`` (train at 16 clips, infer at 32)
+and of ``stnet-resnet50`` at 112x112, T=4 (infer at 2 clips), that is at
+the batch of each benchmark workload, it runs ``ops._conv2d_taps`` and
+``ops._conv2d_shift`` on the same random input: forward plus backward
+for train, forward only for infer. Each kernel's time is the best of
+``--reps`` alternating runs. It prints both times, the faster kernel, the
+kernel that ``ops.conv2d``'s rule picks, and whether the two kernels gave
+the same bits (the output, and for train both gradients). Times within
+3% of each other are a tie; a pick that loses by more is marked ``<<``.
+Run it on another machine to check the rule there. The file name keeps
+it out of pytest collection.
+"""
+
+from __future__ import annotations
+
+import argparse
+from time import perf_counter
+
+import numpy as np
+
+from stnet import arch, model, ops
+from stnet.tensor import Tensor
+
+KERNELS = {"taps": ops._conv2d_taps, "shift": ops._conv2d_shift}
+TIE = 0.03      # kernels within 3% of each other are a tie
+
+# (label, spec, images per batch (clips x T), train). The batches are
+# those of the benchmark workloads.
+CASES = [
+    ("stnet-toy train", arch.load_preset("stnet-toy"), 16 * 4, True),
+    ("stnet-toy infer", arch.load_preset("stnet-toy"), 32 * 4, False),
+    ("stnet-resnet50-112 infer",
+     arch.with_overrides(arch.load_preset("stnet-resnet50"), t=4, res=112), 2 * 4, False),
+]
+
+
+def conv_inputs(spec):
+    """(conv2d plan, input height, input width, first conv?) of the backbone, in order."""
+    h, w = spec.height, spec.width
+    out = []
+    for blk in model.backbone(spec):
+        if blk.kind == "tm":
+            continue
+        hi, wi = h, w
+        for conv, _ in blk.pairs:
+            out.append((conv, hi, wi, not out))
+            hi, wi = conv.out_shape[2:]
+        if blk.down:
+            out.append((blk.down[0], h, w, False))
+        h, w = hi, wi
+        if blk.pool:
+            h, w = (h - 1) // 2 + 1, (w - 1) // 2 + 1
+    return out
+
+
+def run(kernel, x, wt, g, conv):
+    """(seconds, [y, x grad, weight grad]) of one call and, with ``g``, its backward."""
+    x.zero_grad()
+    wt.zero_grad()
+    t0 = perf_counter()
+    y = kernel(x, wt, conv.stride, conv.padding)
+    if g is not None:
+        y.backward(g)
+    return perf_counter() - t0, [y.data, x.grad, wt.grad]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--reps", type=int, default=5, help="timed runs per kernel (default 5)")
+    args = ap.parse_args()
+    rng = np.random.default_rng(0)
+    for label, spec, images, train in CASES:
+        print(f"# {label}, {images} images")
+        print(f"{'layer':<24} {'C->O':>10} {'k/s':>4} {'HxW':>7} "
+              f"{'taps ms':>8} {'shift ms':>8} {'faster':>6} {'rule':>6} bits")
+        totals = dict.fromkeys(KERNELS, 0.0)
+        for conv, h, w, first in conv_inputs(spec):
+            o, c, k, _ = conv.params["w"]
+            x = Tensor(rng.standard_normal((c, images, h, w)).astype(np.float32),
+                       requires_grad=train and not first)
+            wt = Tensor((rng.standard_normal((o, c, k, k)) / np.sqrt(c * k * k))
+                        .astype(np.float32), requires_grad=train)
+            ho, wo = conv.out_shape[2:]
+            g = rng.standard_normal((o, images, ho, wo)).astype(np.float32) if train else None
+            best = dict.fromkeys(KERNELS, float("inf"))
+            outs = {}
+            for _ in range(args.reps):
+                for name, kernel in KERNELS.items():
+                    dt, outs[name] = run(kernel, x, wt, g, conv)
+                    best[name] = min(best[name], dt)
+            same = all((a is None and b is None) or a.tobytes() == b.tobytes()
+                       for a, b in zip(outs["taps"], outs["shift"]))
+            faster = min(best, key=best.get)
+            if max(best.values()) < (1 + TIE) * min(best.values()):
+                faster = "tie"
+            pick = ops._conv2d_kernel(images, c, o, k, k, conv.stride, ho, wo)
+            rule = next(n for n, kern in KERNELS.items() if kern is pick)
+            for name in KERNELS:
+                totals[name] += best[name]
+            print(f"{conv.name:<24} {f'{c}->{o}':>10} {f'{k}/{conv.stride}':>4} "
+                  f"{f'{h}x{w}':>7} {best['taps'] * 1e3:8.2f} {best['shift'] * 1e3:8.2f} "
+                  f"{faster:>6} {rule:>6} {'equal' if same else 'DIFFER'}"
+                  f"{'' if faster in (rule, 'tie') else '  <<'}")
+        print(f"{'total':<24} {'':>10} {'':>4} {'':>7} "
+              f"{totals['taps'] * 1e3:8.2f} {totals['shift'] * 1e3:8.2f}")
+
+
+if __name__ == "__main__":
+    main()

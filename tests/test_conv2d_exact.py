@@ -1,18 +1,19 @@
 """conv2d against a per-tap einsum reference, compared bit for bit.
 
 The reference contracts each kernel tap of an NCHW input with
-``np.einsum(..., optimize=True)``. ``ops.conv2d``, on the same input
-held channel-major, issues per tap the matrix products that this einsum
-issues, on the same operand layouts, so the two must agree in every bit;
-training outcomes that hinge on float rounding stay put only while they
-do. The float32 output and every gradient are compared with
-``tobytes()``.
+``np.einsum(..., optimize=True)``. Both of ``ops.conv2d``'s kernels, on
+the same input held channel-major, take each tap's dot products over the
+same channels in the same order and add the taps in the same row-major
+order, so they must agree with it in every bit; training outcomes that
+hinge on float rounding stay put only while they do. The float32 output
+and every gradient are compared with ``tobytes()``, for ``ops.conv2d``
+(the kernel its rule picks) and for each kernel on its own.
 """
 
 import numpy as np
 import pytest
 
-from stnet import ops
+from stnet import arch, model, ops
 from stnet.tensor import Tensor
 
 
@@ -43,11 +44,14 @@ def einsum_conv2d(x, weight, stride, padding, g, x_grad=True, weight_grad=True):
 # (batch, in channels, height, width, out channels, kernel, stride, padding).
 # The first nine are conv geometries of the pinned benchmark specs at the
 # batch their workloads run (16 stnet-toy clips of 4 snippets, 2
-# stnet-resnet50-112 clips of 4). The last two have products small enough
+# stnet-resnet50-112 clips of 4). The next two have products small enough
 # for BLAS to pick kernels that order a dot product differently when a
 # product is split per image or has its operands swapped (OpenBLAS on
 # AVX-512 does): a 3-channel stem on c09's final 4-clip batch, and 64
-# channels on a 7x7 output.
+# channels on a 7x7 output. The last four reach the shift kernel's edge
+# cases: an odd padded extent at stride 2 (15x15 input, padding 1), stride
+# 3 (nine phases, one tap each), and a 1x1/2 that reads one phase of an
+# odd-sized input.
 GEOMETRIES = {
     "toy_stem_3x3_9ch": (64, 9, 32, 32, 16, 3, 1, 1),
     "toy_3x3_s1": (64, 16, 32, 32, 16, 3, 1, 1),
@@ -60,14 +64,21 @@ GEOMETRIES = {
     "r50_3x3_s2": (8, 256, 14, 14, 256, 3, 2, 1),
     "stem_3x3_3ch_4_clips": (16, 3, 32, 32, 16, 3, 1, 1),
     "3x3_s2_64ch_to_7x7": (2, 64, 14, 14, 64, 3, 2, 1),
+    "3x3_s2_odd_15x15": (64, 16, 15, 15, 32, 3, 2, 1),
+    "3x3_s3": (64, 16, 17, 17, 32, 3, 3, 1),
+    "1x1_s2_odd_15x15": (64, 16, 15, 15, 32, 1, 2, 0),
 }
 
 GRADS = {"both": (True, True), "weight_only": (False, True), "x_only": (True, False)}
 
 
-@pytest.mark.parametrize("which", sorted(GRADS))
-@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-def test_conv2d_bit_identical_to_einsum_reference(geometry, which):
+KERNELS = {"taps": ops._conv2d_taps, "shift": ops._conv2d_shift}
+
+
+def check_against_reference(conv, geometry, which, output=True):
+    """Run ``conv(x, weight, stride, padding)`` forward and backward on one
+    geometry; assert its gradients, and with ``output`` its output, equal the
+    reference's bytes."""
     b_, c, h, w, o, k, s, p = GEOMETRIES[geometry]
     x_grad, weight_grad = GRADS[which]
     rng = np.random.default_rng(sorted(GEOMETRIES).index(geometry))
@@ -79,7 +90,7 @@ def test_conv2d_bit_identical_to_einsum_reference(geometry, which):
 
     xt = Tensor(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), requires_grad=x_grad)
     wtt = Tensor(wt, requires_grad=weight_grad)
-    y = ops.conv2d(xt, wtt, stride=s, padding=p)
+    y = conv(xt, wtt, s, p)
     y.backward(np.ascontiguousarray(g.transpose(1, 0, 2, 3)))
     want = einsum_conv2d(x, wt, s, p, g, x_grad=x_grad, weight_grad=weight_grad)
 
@@ -91,7 +102,64 @@ def test_conv2d_bit_identical_to_einsum_reference(geometry, which):
         if ref is None:
             assert got is None, name
             continue
+        if name == "y" and not output:
+            continue
         assert got.dtype == np.float32 and got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), (
             f"{name} differs from the reference, max abs diff "
             f"{np.max(np.abs(got.astype(np.float64) - ref)):.3e}")
+
+
+@pytest.mark.parametrize("which", sorted(GRADS))
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_conv2d_bit_identical_to_einsum_reference(geometry, which):
+    check_against_reference(
+        lambda x, w, s, p: ops.conv2d(x, w, stride=s, padding=p), geometry, which)
+
+
+@pytest.mark.parametrize("which", sorted(GRADS))
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_each_conv2d_kernel_bit_identical_to_einsum_reference(kernel, geometry, which):
+    b_, c, h, w, o, k, s, p = GEOMETRIES[geometry]
+    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    # A product this small takes BLAS's small-matrix kernels, which may round
+    # an output column by its place in the product, so the shift kernel's
+    # wider forward products need not match; the rule never picks it here.
+    small = kernel == "shift" and o * c * b_ * ho * wo <= ops.BLAS_SMALL_PRODUCT
+    if small:
+        assert ops._conv2d_kernel(b_, c, o, k, k, s, ho, wo) is ops._conv2d_taps
+    check_against_reference(KERNELS[kernel], geometry, which, output=not small)
+
+
+# The conv2d plans for which the rule picks the shift kernel; it picks the
+# tap-copy kernel for every other conv2d plan. Per case: the spec and the
+# images per batch (clips x T) of stnet-toy at the train workload's 16
+# clips and at the eval workload's 32, of stnet-resnet50 at the infer
+# workload's 112x112, T=4 and 2 clips, and at its own 256x256, T=25 for
+# one clip.
+TOY_SHIFT = ("stage0/conv", "stage1/block0/conv1", "stage1/block0/conv2",
+             "stage2/block0/conv1", "stage2/block0/conv2", "stage3/block0/conv1")
+R50_SHIFT = ("stage0/conv", "stage1/block0/conv2", "stage1/block1/conv2",
+             "stage1/block2/conv2")
+RULE_CASES = {
+    "stnet-toy-train": ("stnet-toy", {}, 16 * 4, TOY_SHIFT),
+    "stnet-toy-eval": ("stnet-toy", {}, 32 * 4, TOY_SHIFT),
+    "stnet-resnet50-112": ("stnet-resnet50", dict(t=4, res=112), 2 * 4, R50_SHIFT),
+    "stnet-resnet50": ("stnet-resnet50", {}, 25, R50_SHIFT + tuple(
+        f"stage2/block{i}/conv2" for i in range(4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_CASES))
+def test_rule_picks_per_conv_plan(case):
+    preset, overrides, images, shift = RULE_CASES[case]
+    spec = arch.with_overrides(arch.load_preset(preset), **overrides)
+    picks = {}
+    for plan in model.layer_plans(spec):
+        if plan.kind == "conv2d":
+            o, c, kh, kw = plan.params["w"]
+            picks[plan.name] = ops._conv2d_kernel(images, c, o, kh, kw, plan.stride,
+                                                  *plan.out_shape[2:])
+    assert {n for n, k in picks.items() if k is ops._conv2d_shift} == set(shift)
+    assert any(k is ops._conv2d_taps for k in picks.values())

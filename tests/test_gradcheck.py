@@ -90,7 +90,8 @@ def test_op_gradients(op_name):
 # Fixed shapes for the conv geometries that the random draws of
 # ``_check_conv2d`` (kernel <= 3, padding <= 2) never reach: the 7x7/2
 # stem with padding 3 of the ResNet presets and the 1x1/2 downsample
-# shortcut. Inputs are channel-major, [C, B, H, W].
+# shortcut. Inputs are channel-major, [C, B, H, W]; each runs through both
+# conv2d kernels.
 CONV2D_GEOMETRIES = {
     "stem_7x7_s2_p3": ((2, 1, 9, 9), (3, 2, 7, 7), 2, 3),
     "downsample_1x1_s2_p0": ((3, 2, 5, 5), (4, 3, 1, 1), 2, 0),
@@ -102,8 +103,9 @@ def test_conv2d_fixed_geometry_gradients(geometry):
     x_shape, w_shape, stride, padding = CONV2D_GEOMETRIES[geometry]
     rng = np.random.default_rng(11)
     inputs = [_t(rng, x_shape), _t(rng, w_shape)]
-    worst = grad_check(lambda *a: ops.conv2d(*a, stride=stride, padding=padding), inputs)
-    assert worst < TOL, f"conv2d {geometry}: max relative error {worst:.3e}"
+    for kernel in (ops._conv2d_taps, ops._conv2d_shift):
+        worst = grad_check(lambda *a: kernel(*a, stride, padding), inputs)
+        assert worst < TOL, f"{kernel.__name__} {geometry}: max relative error {worst:.3e}"
 
 
 def test_relu_away_from_zero_is_nearly_exact():
