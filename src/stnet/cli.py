@@ -39,9 +39,12 @@ def _resolve_seed(flag_seed, file_kwargs):
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise ValueError(f"STNET_SEED: expected an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"STNET_SEED: must be >= 0, got {seed}")
+    return seed
 
 
 def cmd_describe(args):

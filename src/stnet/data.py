@@ -233,7 +233,14 @@ def gen_synthetic(cfg):
 def write_dataset(clips, path):
     """Magic ``STVD``, version u32, clip count u32; per clip label u32,
     F/H/W u16, then F*H*W*3 bytes of RGB interleaved by frame then
-    row-major."""
+    row-major. A label or extent that does not fit its field raises
+    ValueError, naming the clip and the field, before the file is opened."""
+    for i, clip in enumerate(clips):
+        fr, _, h, w = clip.frames.shape
+        for field, v, bits in (("label", clip.label, 32), ("frame count", fr, 16),
+                               ("height", h, 16), ("width", w, 16)):
+            if not 0 <= v < 1 << bits:
+                raise ValueError(f"clip {i}: {field} {v} does not fit in a u{bits}")
     with open(path, "wb") as f:
         f.write(MAGIC)
         serial.write_u32(f, VERSION)

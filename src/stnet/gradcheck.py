@@ -96,26 +96,23 @@ def _distinct_levels(rng, shape, axis):
 
 def _check_conv2d(rng):
     # Both conv2d kernels on one draw: the rule would pick the tap-copy one
-    # for every convolution this small.
+    # for every convolution this small. The kernel's height and width are
+    # drawn apart, so (3, 1) kernels, as the TM block runs, come up.
     b, c, o = rng.integers(1, 3), rng.integers(1, 4), rng.integers(1, 4)
-    k = int(rng.integers(1, 4))
-    s, p = int(rng.integers(1, 4)), int(rng.integers(0, 3))
-    h = int(rng.integers(k, k + 4))
-    w = int(rng.integers(k, k + 4))
-    x, wt = _t(rng, (c, b, h, w)), _t(rng, (o, c, k, k))
-    return max(grad_check(lambda *a: kernel(*a, s, p), [x, wt])
+    kh, kw, s = (int(rng.integers(1, 4)) for _ in range(3))
+    h, w = int(rng.integers(kh, kh + 4)), int(rng.integers(kw, kw + 4))
+    x, wt = _t(rng, (c, b, h, w)), _t(rng, (o, c, kh, kw))
+    return max(grad_check(lambda *a: kernel(*a, s), [x, wt])
                for kernel in (ops._conv2d_taps, ops._conv2d_shift))
 
 
 def _check_temporal_conv3(rng):
-    # One input of random rank ([T,C], [B,T,C] or [B,T,C,*S]) through the dense
-    # weight without a bias, as TM calls it, and the depthwise one with a bias.
+    # One [T,C] or [B,T,C] input through the dense weight and the depthwise
+    # one, each with a bias, as the heads call it.
     t, c, o = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    rank = int(rng.integers(2, 6))
-    shape = (t, c) if rank == 2 else (int(rng.integers(1, 3)), t, c) + tuple(
-        int(rng.integers(1, 4)) for _ in range(rank - 3))
+    shape = (t, c) if rng.integers(2) else (int(rng.integers(1, 3)), t, c)
     x = _t(rng, shape)
-    dense = grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3))])
+    dense = grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3)), _t(rng, (o,))])
     depthwise = grad_check(ops.temporal_conv3, [x, _t(rng, (c, 3)), _t(rng, (c,))])
     return max(dense, depthwise)
 

@@ -4,7 +4,7 @@ The single source of truth for the network's shape is one walk of an
 :class:`~stnet.arch.ArchSpec`: :func:`backbone` yields the backbone's
 blocks in execution order, each with its (conv, bn) layer plans, and
 :func:`layer_plans` flattens them and appends the head's plans, every
-one with its shapes, stride, padding and multiplication count. The
+one with its shapes, stride and multiplication count. The
 builder, the checkpoint loader and the complexity engine consume
 :func:`layer_plans`, and :func:`forward` runs the blocks of the same
 walk, so the parameter names and the geometry that is counted are the
@@ -35,7 +35,6 @@ class LayerPlan:
     macs: int                 # multiplications per inference pass (T included)
     out_shape: tuple          # per-clip output extents
     stride: int = 1           # spatial stride of a conv2d plan
-    padding: int = 0          # zero padding of a conv plan (kernel // 2)
 
 
 @dataclass
@@ -61,17 +60,16 @@ class Block:
         return self.pairs[0][0].name.rsplit("/", 1)[0]
 
 
-def _conv_out(size, kernel, stride, padding):
-    return (size + 2 * padding - kernel) // stride + 1
+def _conv_out(size, kernel, stride):
+    return (size + 2 * (kernel // 2) - kernel) // stride + 1
 
 
 def _conv_bn(prefix, tag, c_in, c_out, kernel, stride, t, h, w):
     """The (conv, bn) plans ``{prefix}/conv{tag}`` and ``{prefix}/bn{tag}``."""
-    pad = kernel // 2
-    ho, wo = _conv_out(h, kernel, stride, pad), _conv_out(w, kernel, stride, pad)
+    ho, wo = _conv_out(h, kernel, stride), _conv_out(w, kernel, stride)
     shape = (t, c_out, ho, wo)
     conv = LayerPlan(f"{prefix}/conv{tag}", "conv2d", {"w": (c_out, c_in, kernel, kernel)},
-                     c_out * c_in * kernel * kernel * ho * wo * t, shape, stride, pad)
+                     c_out * c_in * kernel * kernel * ho * wo * t, shape, stride)
     return conv, _bn_plan(f"{prefix}/bn{tag}", c_out, shape)
 
 
@@ -105,7 +103,7 @@ def backbone(spec):
             blocks.append(Block("stem", (pair,), pool=st.pool))
             _, c, h, w = pair[1].out_shape
             if st.pool:
-                h, w = _conv_out(h, 3, 2, 1), _conv_out(w, 3, 2, 1)
+                h, w = _conv_out(h, 3, 2), _conv_out(w, 3, 2)
         else:
             for j in range(st.repeat):
                 stride = st.stride if j == 0 else 1
@@ -122,7 +120,7 @@ def backbone(spec):
         if i in spec.tm_after:
             shape = (t, c, h, w)
             conv = LayerPlan(f"tm{i}/conv", "conv3d", {"w": (c, c, 3)},
-                             c * c * 3 * h * w * t, shape, 1, 1)
+                             c * c * 3 * h * w * t, shape)
             blocks.append(Block("tm", ((conv, _bn_plan(f"tm{i}/bn", c, shape)),)))
     return blocks
 
@@ -271,7 +269,7 @@ def _run_bn(p, prefix, x, training, relu=False):
 
 def _run_conv_bn(p, conv, bn, x, training, relu=False):
     with _named(conv.name):
-        x = ops.conv2d(x, p[f"{conv.name}/w"], stride=conv.stride, padding=conv.padding)
+        x = ops.conv2d(x, p[f"{conv.name}/w"], stride=conv.stride)
     return _run_bn(p, bn.name, x, training, relu)
 
 
@@ -284,16 +282,15 @@ def _run_block(p, block, x, training):
     """
     if block.kind == "tm":
         ((conv, bn),) = block.pairs
-        # The [C, C, 3] weight is a dense 3-tap conv over the snippet axis of a
-        # [B, T, C, H, W] view; H, W ride along. Its output is stored
-        # [C, B, T, H, W], so neither the batch norm nor the final reshape copies.
+        # The [C, C, 3] weight is a (3, 1) conv2d kernel over the snippet axis of
+        # a [C, B, T, H*W] view. The output goes to the batch norm as it is (one
+        # sum run per channel and clip), then back to [C, B*T, H, W], uncopied.
         c, bt, h, w = x.shape
         t = conv.out_shape[0]
         with _named(conv.name):
-            y = ops.temporal_conv3(x.reshape((c, bt // t, t, h, w)).transpose((1, 2, 0, 3, 4)),
-                                   p[f"{conv.name}/w"])
-        y = _run_bn(p, bn.name, y.transpose((2, 0, 1, 3, 4)), training, relu=True)
-        return y.reshape(x.shape)
+            y = ops.conv2d(x.reshape((c, bt // t, t, h * w)),
+                           p[f"{conv.name}/w"].reshape((c, c, 3, 1)))
+        return _run_bn(p, bn.name, y, training, relu=True).reshape(x.shape)
     y = x
     last = len(block.pairs) - 1
     for k, (conv, bn) in enumerate(block.pairs):

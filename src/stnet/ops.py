@@ -24,11 +24,14 @@ def _require(cond, msg):
 # Convolutions and affine maps
 # ---------------------------------------------------------------------------
 
-def conv2d(x, weight, stride=1, padding=0):
+def conv2d(x, weight, stride=1):
     """Strided 2D cross-correlation on channel-major maps: [C,B,H,W] -> [O,B,H',W'].
 
-    H' = floor((H + 2*padding - kh) / stride) + 1, likewise W'. There is no
-    bias: every conv of the network feeds a batch norm, which cancels it.
+    A [O, C, kh, kw] kernel zero-pads the input by kh // 2 rows and
+    kw // 2 columns on each side, so H' = (H + 2*(kh//2) - kh) // stride + 1,
+    likewise W'. The TM block's 3x1x1 conv over snippets is a (3, 1) kernel
+    on a [C, B, T, H*W] view: it pads T alone. There is no bias: every conv
+    of the network feeds a batch norm, which cancels it.
 
     Two kernels compute it, with the same bits. ``_conv2d_taps`` copies
     each kernel tap's window of the zero-padded input out as a
@@ -66,9 +69,9 @@ def conv2d(x, weight, stride=1, padding=0):
 
     The rule (``_conv2d_kernel``) reads the shapes alone and is a speed
     choice, never a numerics fork. It picks the shift kernel when the
-    kernel has more than one tap, the product is above the small-matrix
-    size, and the grid's wasted multiplications per saved copy are at most
-    ``SHIFT_MAX_WASTE`` = 18:
+    kernel is more than one tap wide and more than one tap tall, the
+    product is above the small-matrix size, and the grid's wasted
+    multiplications per saved copy are at most ``SHIFT_MAX_WASTE`` = 18:
 
         O * (Hq*Wq - H'*W') <= 18 * H'*W'
 
@@ -97,20 +100,22 @@ def conv2d(x, weight, stride=1, padding=0):
 
     where O*waste = O * (Hq*Wq - H'*W') / (H'*W'). A 1x1 conv has one tap
     and nothing to save: both kernels take one product, and it stays with
-    the tap kernel.
+    the tap kernel. So does a (3, 1) TM conv, though its grid wastes only
+    2*O/T per output: on the TM convs of the pinned specs, measured the same
+    way on [C, B, T, H*W], shift over taps read 1.19 and 1.12 (stnet-toy
+    tm2 and tm3, fwd+bwd at 16 clips), 1.11 and 1.22 (fwd at 32 clips) and
+    1.10 and 1.23 (stnet-resnet50-112, fwd at 2 clips).
     """
     _require(x.ndim == 4, f"conv2d input must be 4D, got {x.shape}")
     _require(weight.ndim == 4, f"conv2d weight must be 4D, got {weight.shape}")
     c, images, h, w = x.shape
     o, ci, kh, kw = weight.shape
     _require(ci == c, f"conv2d channel mismatch: input has {c}, weight expects {ci}")
-    _require(stride >= 1 and padding >= 0, "conv2d stride must be >=1 and padding >=0")
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    _require(ho >= 1 and wo >= 1,
-             f"conv2d output would be empty for input {x.shape} and kernel {weight.shape}")
+    _require(stride >= 1, "conv2d stride must be >= 1")
+    ho = (h + 2 * (kh // 2) - kh) // stride + 1
+    wo = (w + 2 * (kw // 2) - kw) // stride + 1
     kernel = _conv2d_kernel(images, c, o, kh, kw, stride, ho, wo)
-    return kernel(x, weight, stride, padding)
+    return kernel(x, weight, stride)
 
 
 # The rule of ``conv2d``: the most grid multiplications wasted per saved
@@ -123,21 +128,22 @@ BLAS_SMALL_PRODUCT = 100 ** 3
 def _conv2d_kernel(images, c, o, kh, kw, stride, ho, wo):
     """The conv2d kernel for this geometry: ``_conv2d_shift`` or ``_conv2d_taps``."""
     hq, wq = ho + (kh - 1) // stride, wo + (kw - 1) // stride
-    if (kh * kw > 1 and o * c * images * ho * wo > BLAS_SMALL_PRODUCT
+    if (kh > 1 and kw > 1 and o * c * images * ho * wo > BLAS_SMALL_PRODUCT
             and o * (hq * wq - ho * wo) <= SHIFT_MAX_WASTE * ho * wo):
         return _conv2d_shift
     return _conv2d_taps
 
 
-def _conv2d_taps(x, weight, stride, padding):
+def _conv2d_taps(x, weight, stride):
     """conv2d by one copied [C, B*H'*W'] window of the padded input per tap."""
     c, b_, h, w = x.shape
     o, _, kh, kw = weight.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    if padding:
-        xc = np.zeros((c, b_, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xc[:, :, padding:padding + h, padding:padding + w] = x.data
+    ph, pw = kh // 2, kw // 2
+    ho = (h + 2 * ph - kh) // stride + 1
+    wo = (w + 2 * pw - kw) // stride + 1
+    if ph or pw:
+        xc = np.zeros((c, b_, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        xc[:, :, ph:ph + h, pw:pw + w] = x.data
     else:
         xc = x.data
     # Kernel taps in row-major order, each with the rows and columns of the
@@ -162,7 +168,7 @@ def _conv2d_taps(x, weight, stride, padding):
             for i, j, hs, ws in taps:
                 gxc[:, :, hs, ws] += (weight.data[:, :, i, j].T @ g).reshape(
                     c, b_, ho, wo)
-            x.accumulate_grad(gxc[:, :, padding:padding + h, padding:padding + w])
+            x.accumulate_grad(gxc[:, :, ph:ph + h, pw:pw + w])
     return make_node(y.reshape(o, b_, ho, wo), (x, weight), "conv2d", backward)
 
 
@@ -178,22 +184,23 @@ def _phase_rows(n, q, phase, stride, padding):
     return slice(r0, r1), slice(i0, i0 + stride * (r1 - r0), stride)
 
 
-def _conv2d_shift(x, weight, stride, padding):
+def _conv2d_shift(x, weight, stride):
     """conv2d by column-offset views of the padded input's stride phases."""
     c, b_, h, w = x.shape
     o, _, kh, kw = weight.shape
     s = stride
-    ho = (h + 2 * padding - kh) // s + 1
-    wo = (w + 2 * padding - kw) // s + 1
+    ph, pw = kh // 2, kw // 2
+    ho = (h + 2 * ph - kh) // s + 1
+    wo = (w + 2 * pw - kw) // s + 1
     hq, wq = ho + (kh - 1) // s, wo + (kw - 1) // s
     n = b_ * hq * wq
     # Grid columns from the first to the last output position.
     span = n - (hq - ho) * wq - (wq - wo)
     # Phase (a, b) holds padded rows a, a+s, ... and columns b, b+s, ..., as
     # [C, B, Hq, Wq]; only the phases some tap reads are built.
-    cuts = {(a, b): (_phase_rows(h, hq, a, s, padding), _phase_rows(w, wq, b, s, padding))
+    cuts = {(a, b): (_phase_rows(h, hq, a, s, ph), _phase_rows(w, wq, b, s, pw))
             for a in range(min(s, kh)) for b in range(min(s, kw))}
-    if s == 1 and padding == 0:
+    if s == 1 and ph == pw == 0:
         phases = {(0, 0): x.data}
     else:
         phases = {}
@@ -233,8 +240,7 @@ def _conv2d_shift(x, weight, stride, padding):
                 np.matmul(weight.data[:, :, i, j].T, gg, out=prod)
                 gflat[ab][:, d:d + span] += prod
             if s == 1:
-                gx = gflat[0, 0].reshape(c, b_, hq, wq)[:, :, padding:padding + h,
-                                                         padding:padding + w]
+                gx = gflat[0, 0].reshape(c, b_, hq, wq)[:, :, ph:ph + h, pw:pw + w]
             else:
                 gx = np.zeros(x.shape, x.dtype)
                 for ab, ((pr, xr), (pc, xcol)) in cuts.items():
@@ -243,54 +249,44 @@ def _conv2d_shift(x, weight, stride, padding):
     return make_node(y, (x, weight), "conv2d", backward)
 
 
-def temporal_conv3(x, weight, bias=None):
+def temporal_conv3(x, weight, bias):
     """3-tap convolution over time with zero padding 1, so T is preserved.
 
-    ``x`` is [T,C], [B,T,C] or [B,T,C,*S]: time is the axis before the
-    channels, and trailing spatial extents S ride along untouched. A
-    [C,3] weight is depthwise (one kernel per channel, the channel-wise
-    conv of a temporal Xception block); an [O,C,3] weight is dense:
+    ``x`` is a [T,C] or [B,T,C] feature sequence of a head. A [C,3] weight
+    is depthwise (one kernel per channel, the channel-wise conv of a
+    temporal Xception block); an [O,C,3] weight is dense (the ordinary
+    temporal-conv head):
 
-        y[b,t,o,s] = sum_k sum_c x[b,t+k-1,c,s] * weight[o,c,k] + bias[o]
+        y[b,t,o] = sum_k sum_c x[b,t+k-1,c] * weight[o,c,k] + bias[o]
 
-    with rows outside [0, T) contributing zero. ``bias=None`` adds none
-    (the temporal-modeling conv, which feeds a batch norm).
+    with rows outside [0, T) contributing zero. The backbone's TM conv is
+    not this op: it runs through :func:`conv2d` as a (3, 1) kernel.
     """
-    _require(x.ndim >= 2, f"temporal_conv3 expects [T,C] or [B,T,C,*S], got {x.shape}")
+    _require(x.ndim in (2, 3), f"temporal_conv3 expects [T,C] or [B,T,C], got {x.shape}")
     squeeze = x.ndim == 2
     xd = x.data[None] if squeeze else x.data
-    t, c = xd.shape[1], xd.shape[2]
+    t, c = xd.shape[1:]
     if weight.ndim == 2:
         _require(weight.shape == (c, 3),
                  f"temporal_conv3 depthwise weight must have shape ({c}, 3), "
                  f"got {weight.shape}")
-        wsub, ysub = "c", "btc..."
+        wsub, ysub = "c", "btc"
     else:
         _require(weight.ndim == 3 and weight.shape[1:] == (c, 3),
                  f"temporal_conv3 weight must have shape ({c}, 3) or (C_out, {c}, 3), "
                  f"got {weight.shape}")
-        wsub, ysub = "oc", "bto..."
+        wsub, ysub = "oc", "bto"
     co = weight.shape[0]
-    _require(bias is None or bias.shape == (co,), f"temporal_conv3 bias must have shape ({co},)")
+    _require(bias.shape == (co,), f"temporal_conv3 bias must have shape ({co},)")
     _require(t >= 1, "temporal_conv3 requires T >= 1")
 
-    pad = [(0, 0)] * xd.ndim
-    pad[1] = (1, 1)
-    xp = np.pad(xd, pad)
-    # With spatial axes the output is stored channel-major, [O,B,T,*S] in
-    # memory, the backbone's layout: the TM block hands it to its batch norm
-    # as [O,B,T,*S] without a copy.
-    dtype = np.result_type(xd, weight.data)
-    if xd.ndim > 3:
-        y = np.moveaxis(np.zeros((co,) + xd.shape[:2] + xd.shape[3:], dtype=dtype), 0, 2)
-    else:
-        y = np.zeros((xd.shape[0], t, co), dtype=dtype)
+    xp = np.pad(xd, ((0, 0), (1, 1), (0, 0)))
+    y = np.zeros((xd.shape[0], t, co), dtype=np.result_type(xd, weight.data))
     # One contraction per tap; each tap is a shifted window of the padded input.
     for k in range(3):
-        y += np.einsum(f"btc...,{wsub}->{ysub}", xp[:, k:k + t], weight.data[..., k],
+        y += np.einsum(f"btc,{wsub}->{ysub}", xp[:, k:k + t], weight.data[..., k],
                        optimize=True)
-    if bias is not None:
-        y += bias.data.reshape((co,) + (1,) * (xd.ndim - 3))
+    y += bias.data
     if squeeze:
         y = y[0]
 
@@ -298,19 +294,18 @@ def temporal_conv3(x, weight, bias=None):
         gb = g[None] if squeeze else g
         if weight.requires_grad:
             weight.accumulate_grad(np.stack(
-                [np.einsum(f"{ysub},btc...->{wsub}", gb, xp[:, k:k + t], optimize=True)
+                [np.einsum(f"{ysub},btc->{wsub}", gb, xp[:, k:k + t], optimize=True)
                  for k in range(3)], axis=-1))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for k in range(3):
-                gxp[:, k:k + t] += np.einsum(f"{ysub},{wsub}->btc...", gb,
+                gxp[:, k:k + t] += np.einsum(f"{ysub},{wsub}->btc", gb,
                                              weight.data[..., k], optimize=True)
             gx = gxp[:, 1:t + 1]
             x.accumulate_grad(gx[0] if squeeze else gx)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(gb.sum(axis=(0, 1) + tuple(range(3, gb.ndim))))
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return make_node(y, parents, "temporal_conv3", backward)
+        if bias.requires_grad:
+            bias.accumulate_grad(gb.sum(axis=(0, 1)))
+    return make_node(y, (x, weight, bias), "temporal_conv3", backward)
 
 
 def linear(x, weight, bias):

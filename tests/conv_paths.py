@@ -4,7 +4,9 @@
 
 For every conv2d plan of ``stnet-toy`` (train at 16 clips, infer at 32)
 and of ``stnet-resnet50`` at 112x112, T=4 (infer at 2 clips), that is at
-the batch of each benchmark workload, it runs ``ops._conv2d_taps`` and
+the batch of each benchmark workload, and for every TM conv, run as
+``ops.conv2d`` runs it (a (3, 1) kernel on [C, B, T, H*W]), it runs
+``ops._conv2d_taps`` and
 ``ops._conv2d_shift`` on the same random input: forward plus backward
 for train, forward only for infer. Each kernel's time is the best of
 ``--reps`` alternating runs. It prints both times, the faster kernel, the
@@ -38,31 +40,39 @@ CASES = [
 ]
 
 
-def conv_inputs(spec):
-    """(conv2d plan, input height, input width, first conv?) of the backbone, in order."""
+def conv_inputs(spec, images):
+    """(plan, input shape, weight shape, stride, first conv?) of each conv of the
+    backbone at ``images`` images, in order; a TM conv as ``ops.conv2d`` runs it."""
+    def conv2d_at(conv, h, w, first):
+        wshape = conv.params["w"]
+        return conv, (wshape[1], images, h, w), wshape, conv.stride, first
+
     h, w = spec.height, spec.width
     out = []
     for blk in model.backbone(spec):
         if blk.kind == "tm":
+            conv = blk.pairs[0][0]
+            t, c = conv.out_shape[:2]
+            out.append((conv, (c, images // t, t, h * w), (c, c, 3, 1), 1, False))
             continue
         hi, wi = h, w
         for conv, _ in blk.pairs:
-            out.append((conv, hi, wi, not out))
+            out.append(conv2d_at(conv, hi, wi, not out))
             hi, wi = conv.out_shape[2:]
         if blk.down:
-            out.append((blk.down[0], h, w, False))
+            out.append(conv2d_at(blk.down[0], h, w, False))
         h, w = hi, wi
         if blk.pool:
             h, w = (h - 1) // 2 + 1, (w - 1) // 2 + 1
     return out
 
 
-def run(kernel, x, wt, g, conv):
+def run(kernel, x, wt, g, stride):
     """(seconds, [y, x grad, weight grad]) of one call and, with ``g``, its backward."""
     x.zero_grad()
     wt.zero_grad()
     t0 = perf_counter()
-    y = kernel(x, wt, conv.stride, conv.padding)
+    y = kernel(x, wt, stride)
     if g is not None:
         y.backward(g)
     return perf_counter() - t0, [y.data, x.grad, wt.grad]
@@ -78,30 +88,33 @@ def main():
         print(f"{'layer':<24} {'C->O':>10} {'k/s':>4} {'HxW':>7} "
               f"{'taps ms':>8} {'shift ms':>8} {'faster':>6} {'rule':>6} bits")
         totals = dict.fromkeys(KERNELS, 0.0)
-        for conv, h, w, first in conv_inputs(spec):
-            o, c, k, _ = conv.params["w"]
-            x = Tensor(rng.standard_normal((c, images, h, w)).astype(np.float32),
+        for conv, x_shape, w_shape, stride, first in conv_inputs(spec, images):
+            c, b, h, w = x_shape
+            o, _, kh, kw = w_shape
+            x = Tensor(rng.standard_normal(x_shape).astype(np.float32),
                        requires_grad=train and not first)
-            wt = Tensor((rng.standard_normal((o, c, k, k)) / np.sqrt(c * k * k))
+            wt = Tensor((rng.standard_normal(w_shape) / np.sqrt(c * kh * kw))
                         .astype(np.float32), requires_grad=train)
-            ho, wo = conv.out_shape[2:]
-            g = rng.standard_normal((o, images, ho, wo)).astype(np.float32) if train else None
+            ho = (h + 2 * (kh // 2) - kh) // stride + 1
+            wo = (w + 2 * (kw // 2) - kw) // stride + 1
+            g = rng.standard_normal((o, b, ho, wo)).astype(np.float32) if train else None
             best = dict.fromkeys(KERNELS, float("inf"))
             outs = {}
             for _ in range(args.reps):
                 for name, kernel in KERNELS.items():
-                    dt, outs[name] = run(kernel, x, wt, g, conv)
+                    dt, outs[name] = run(kernel, x, wt, g, stride)
                     best[name] = min(best[name], dt)
             same = all((a is None and b is None) or a.tobytes() == b.tobytes()
                        for a, b in zip(outs["taps"], outs["shift"]))
             faster = min(best, key=best.get)
             if max(best.values()) < (1 + TIE) * min(best.values()):
                 faster = "tie"
-            pick = ops._conv2d_kernel(images, c, o, k, k, conv.stride, ho, wo)
+            pick = ops._conv2d_kernel(b, c, o, kh, kw, stride, ho, wo)
             rule = next(n for n, kern in KERNELS.items() if kern is pick)
             for name in KERNELS:
                 totals[name] += best[name]
-            print(f"{conv.name:<24} {f'{c}->{o}':>10} {f'{k}/{conv.stride}':>4} "
+            k = f"{kh}/{stride}" if kh == kw else f"{kh}x{kw}"
+            print(f"{conv.name:<24} {f'{c}->{o}':>10} {k:>4} "
                   f"{f'{h}x{w}':>7} {best['taps'] * 1e3:8.2f} {best['shift'] * 1e3:8.2f} "
                   f"{faster:>6} {rule:>6} {'equal' if same else 'DIFFER'}"
                   f"{'' if faster in (rule, 'tie') else '  <<'}")

@@ -7,11 +7,13 @@ scalars, deliberately independent of the vectorized op implementations.
 import numpy as np
 
 
-def conv2d_ref(x, w, stride=1, padding=0):
+def conv2d_ref(x, w, stride=1):
+    """Zero padding of kh // 2 rows and kw // 2 columns on each side."""
     bs, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (wd + 2 * padding - kw) // stride + 1
+    ph, pw = kh // 2, kw // 2
+    ho = (h + 2 * ph - kh) // stride + 1
+    wo = (wd + 2 * pw - kw) // stride + 1
     y = np.zeros((bs, o, ho, wo), dtype=x.dtype)
     for bi in range(bs):
         for oi in range(o):
@@ -21,8 +23,8 @@ def conv2d_ref(x, w, stride=1, padding=0):
                     for ci in range(c):
                         for u in range(kh):
                             for v in range(kw):
-                                r = i * stride + u - padding
-                                s = j * stride + v - padding
+                                r = i * stride + u - ph
+                                s = j * stride + v - pw
                                 if 0 <= r < h and 0 <= s < wd:
                                     acc = acc + x[bi, ci, r, s] * w[oi, ci, u, v]
                     y[bi, oi, i, j] = acc

@@ -16,6 +16,7 @@ from stnet.tensor import Tensor
 from stnet import ops
 
 import naive_reference as ref
+from test_graph import tm_block
 
 
 def report(criterion, detail):
@@ -83,21 +84,24 @@ def test_c05_forward_oracle_equivalence():
         b, c, o = (int(rng.integers(1, 3)), int(rng.integers(1, 4)),
                    int(rng.integers(1, 4)))
         k = int(rng.integers(1, 4))
-        s, p = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        s = int(rng.integers(1, 3))
+        rng.integers(0, 3)  # the draw of a padding, now k // 2: later shapes stay as they were
         h, w = int(rng.integers(k, k + 4)), int(rng.integers(k, k + 4))
-        x, wt, bi = (rng.standard_normal((b, c, h, w)),
-                     rng.standard_normal((o, c, k, k)), rng.standard_normal(o))
-        got = ops.conv2d(t64(x.transpose(1, 0, 2, 3)), t64(wt), stride=s,
-                         padding=p).data.transpose(1, 0, 2, 3)
-        assert ref.relative_error(got, ref.conv2d_ref(x, wt, s, p)) < 1e-6
+        x, wt = rng.standard_normal((b, c, h, w)), rng.standard_normal((o, c, k, k))
+        rng.standard_normal(o)  # the draw of a bias: later shapes stay as they were
+        got = ops.conv2d(t64(x.transpose(1, 0, 2, 3)), t64(wt),
+                         stride=s).data.transpose(1, 0, 2, 3)
+        assert ref.relative_error(got, ref.conv2d_ref(x, wt, s)) < 1e-6
         instances += 1
 
+        # The TM conv: conv2d with a (3, 1) kernel on the [C, B, T, H*W] view.
         t_, h3, w3 = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         x = rng.standard_normal((b, c, t_, h3, w3))
         wt = rng.standard_normal((o, c, 3, 1, 1))
-        got = ops.temporal_conv3(t64(x.transpose(0, 2, 1, 3, 4)), t64(wt[:, :, :, 0, 0]),
-                                 t64(bi)).data.transpose(0, 2, 1, 3, 4)
-        assert ref.relative_error(got, ref.conv3d_t311_ref(x, wt, bi)) < 1e-6
+        got = ops.conv2d(t64(x.transpose(1, 0, 2, 3, 4).reshape(c, b, t_, h3 * w3)),
+                         t64(wt[:, :, :, :, 0].reshape(o, c, 3, 1))).data
+        got = got.reshape(o, b, t_, h3, w3).transpose(1, 0, 2, 3, 4)
+        assert ref.relative_error(got, ref.conv3d_t311_ref(x, wt, np.zeros(o))) < 1e-6
         instances += 1
 
         tl, ci, co = int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -145,13 +149,12 @@ def test_c06_inflation_invariant():
     rng = np.random.default_rng(1)
     frame = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
     w3 = (rng.standard_normal((8, 3, 7, 7)) * np.sqrt(2 / (3 * 49))).astype(np.float32)
-    want = ops.conv2d(Tensor(frame.transpose(1, 0, 2, 3)), Tensor(w3), stride=2,
-                      padding=3).data
+    want = ops.conv2d(Tensor(frame.transpose(1, 0, 2, 3)), Tensor(w3), stride=2).data
     worst = 0.0
     for n in (1, 3, 5):
         stacked = Tensor(np.tile(frame, (1, n, 1, 1)).transpose(1, 0, 2, 3))
         wn = Tensor(model.inflate_first_conv(w3, n).astype(np.float32))
-        got = ops.conv2d(stacked, wn, stride=2, padding=3).data
+        got = ops.conv2d(stacked, wn, stride=2).data
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst < 1e-5
     report(6, f"super-image of N identical frames matches the 2D response "
@@ -162,12 +165,7 @@ def test_c07_tm_init_invariant():
     rng = np.random.default_rng(2)
     c, t = 12, 6
     x = rng.standard_normal((2, c, t, 4, 4)).astype(np.float32)
-    p = model.init_tm_block(c)
-    y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)), Tensor(p["conv/w"]))
-    y = ops.batch_norm(y.transpose((2, 0, 1, 3, 4)), Tensor(p["bn/alpha"]),
-                       Tensor(p["bn/beta"]), Tensor(p["bn/mean"]), Tensor(p["bn/var"]),
-                       training=False)
-    y = ops.relu(y).data.transpose(1, 0, 2, 3, 4)
+    y = tm_block(x)
     worst = 0.0
     for ti in range(1, t - 1):
         want = np.maximum(x[:, :, ti - 1:ti + 2].mean(axis=(1, 2)), 0)

@@ -192,6 +192,13 @@ class TestGradcheckCommand:
         assert "STNET_SEED: expected an integer, got 'abc'" in err
         assert "ops below" not in out
 
+    def test_negative_env_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("STNET_SEED", "-3")
+        code, out, err = run_cli(capsys, "gradcheck", "--op", "relu")
+        assert code == 1
+        assert "STNET_SEED: must be >= 0, got -3" in err
+        assert "seed:" not in out and "ops below" not in out
+
 
 def test_unknown_verb_and_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:

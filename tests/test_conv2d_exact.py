@@ -7,7 +7,9 @@ same channels in the same order and add the taps in the same row-major
 order, so they must agree with it in every bit; training outcomes that
 hinge on float rounding stay put only while they do. The float32 output
 and every gradient are compared with ``tobytes()``, for ``ops.conv2d``
-(the kernel its rule picks) and for each kernel on its own.
+(the kernel its rule picks) and for each kernel on its own. The TM
+block's temporal conv is among them, as a (3, 1) kernel on a
+[C, B, T, H*W] view.
 """
 
 import numpy as np
@@ -17,13 +19,15 @@ from stnet import arch, model, ops
 from stnet.tensor import Tensor
 
 
-def einsum_conv2d(x, weight, stride, padding, g, x_grad=True, weight_grad=True):
-    """Per-tap einsum conv2d: (y, gx, gw) for upstream gradient ``g``."""
+def einsum_conv2d(x, weight, stride, g, x_grad=True, weight_grad=True):
+    """Per-tap einsum conv2d, zero-padded by kh // 2 rows and kw // 2 columns:
+    (y, gx, gw) for upstream gradient ``g``."""
     b_, c, h, w = x.shape
     o, _, kh, kw = weight.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ph, pw = kh // 2, kw // 2
+    ho = (h + 2 * ph - kh) // stride + 1
+    wo = (w + 2 * pw - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     y = np.zeros((b_, o, ho, wo), dtype=np.result_type(x, weight))
     gxp = np.zeros_like(xp) if x_grad else None
     gw = np.zeros_like(weight) if weight_grad else None
@@ -37,36 +41,42 @@ def einsum_conv2d(x, weight, stride, padding, g, x_grad=True, weight_grad=True):
                 gw[:, :, i, j] += np.einsum("bohw,bchw->oc", g, xp[sl], optimize=True)
             if x_grad:
                 gxp[sl] += np.einsum("bohw,oc->bchw", g, weight[:, :, i, j], optimize=True)
-    gx = gxp[:, :, padding:padding + h, padding:padding + w] if x_grad else None
+    gx = gxp[:, :, ph:ph + h, pw:pw + w] if x_grad else None
     return y, gx, gw
 
 
-# (batch, in channels, height, width, out channels, kernel, stride, padding).
-# The first nine are conv geometries of the pinned benchmark specs at the
-# batch their workloads run (16 stnet-toy clips of 4 snippets, 2
-# stnet-resnet50-112 clips of 4). The next two have products small enough
-# for BLAS to pick kernels that order a dot product differently when a
-# product is split per image or has its operands swapped (OpenBLAS on
-# AVX-512 does): a 3-channel stem on c09's final 4-clip batch, and 64
-# channels on a 7x7 output. The last four reach the shift kernel's edge
-# cases: an odd padded extent at stride 2 (15x15 input, padding 1), stride
-# 3 (nine phases, one tap each), and a 1x1/2 that reads one phase of an
-# odd-sized input.
+# (batch, in channels, height, width, out channels, kernel height, kernel
+# width, stride). The first nine are conv geometries of the pinned
+# benchmark specs at the batch their workloads run (16 stnet-toy clips of
+# 4 snippets, 2 stnet-resnet50-112 clips of 4). The next four are the TM
+# convs of the same specs and batches, as (3, 1) kernels on [C, B, T, H*W]
+# (a batch of clips, T = 4 rows of H*W columns). The next two have
+# products small enough for BLAS to pick kernels that order a dot product
+# differently when a product is split per image or has its operands
+# swapped (OpenBLAS on AVX-512 does): a 3-channel stem on c09's final
+# 4-clip batch, and 64 channels on a 7x7 output. The last four reach the
+# shift kernel's edge cases: an odd padded extent at stride 2 (15x15
+# input, padding 1), stride 3 (nine phases, one tap each), and a 1x1/2
+# that reads one phase of an odd-sized input.
 GEOMETRIES = {
-    "toy_stem_3x3_9ch": (64, 9, 32, 32, 16, 3, 1, 1),
-    "toy_3x3_s1": (64, 16, 32, 32, 16, 3, 1, 1),
-    "toy_3x3_s2": (64, 16, 32, 32, 32, 3, 2, 1),
-    "toy_3x3_s2_to_8x8": (64, 32, 16, 16, 64, 3, 2, 1),
-    "toy_1x1_s2": (64, 16, 32, 32, 32, 1, 2, 0),
-    "r50_stem_7x7_s2_15ch": (8, 15, 112, 112, 64, 7, 2, 3),
-    "r50_1x1_s1": (8, 64, 28, 28, 256, 1, 1, 0),
-    "r50_1x1_s2": (8, 512, 14, 14, 1024, 1, 2, 0),
-    "r50_3x3_s2": (8, 256, 14, 14, 256, 3, 2, 1),
-    "stem_3x3_3ch_4_clips": (16, 3, 32, 32, 16, 3, 1, 1),
-    "3x3_s2_64ch_to_7x7": (2, 64, 14, 14, 64, 3, 2, 1),
-    "3x3_s2_odd_15x15": (64, 16, 15, 15, 32, 3, 2, 1),
-    "3x3_s3": (64, 16, 17, 17, 32, 3, 3, 1),
-    "1x1_s2_odd_15x15": (64, 16, 15, 15, 32, 1, 2, 0),
+    "toy_stem_3x3_9ch": (64, 9, 32, 32, 16, 3, 3, 1),
+    "toy_3x3_s1": (64, 16, 32, 32, 16, 3, 3, 1),
+    "toy_3x3_s2": (64, 16, 32, 32, 32, 3, 3, 2),
+    "toy_3x3_s2_to_8x8": (64, 32, 16, 16, 64, 3, 3, 2),
+    "toy_1x1_s2": (64, 16, 32, 32, 32, 1, 1, 2),
+    "r50_stem_7x7_s2_15ch": (8, 15, 112, 112, 64, 7, 7, 2),
+    "r50_1x1_s1": (8, 64, 28, 28, 256, 1, 1, 1),
+    "r50_1x1_s2": (8, 512, 14, 14, 1024, 1, 1, 2),
+    "r50_3x3_s2": (8, 256, 14, 14, 256, 3, 3, 2),
+    "toy_tm2_3x1": (16, 32, 4, 16 * 16, 32, 3, 1, 1),
+    "toy_tm3_3x1": (16, 64, 4, 8 * 8, 64, 3, 1, 1),
+    "r50_tm2_3x1": (2, 512, 4, 14 * 14, 512, 3, 1, 1),
+    "r50_tm3_3x1": (2, 1024, 4, 7 * 7, 1024, 3, 1, 1),
+    "stem_3x3_3ch_4_clips": (16, 3, 32, 32, 16, 3, 3, 1),
+    "3x3_s2_64ch_to_7x7": (2, 64, 14, 14, 64, 3, 3, 2),
+    "3x3_s2_odd_15x15": (64, 16, 15, 15, 32, 3, 3, 2),
+    "3x3_s3": (64, 16, 17, 17, 32, 3, 3, 3),
+    "1x1_s2_odd_15x15": (64, 16, 15, 15, 32, 1, 1, 2),
 }
 
 GRADS = {"both": (True, True), "weight_only": (False, True), "x_only": (True, False)}
@@ -75,24 +85,29 @@ GRADS = {"both": (True, True), "weight_only": (False, True), "x_only": (True, Fa
 KERNELS = {"taps": ops._conv2d_taps, "shift": ops._conv2d_shift}
 
 
+def out_size(geometry):
+    """(H', W') of a geometry: kh // 2 and kw // 2 padding on each side."""
+    _, _, h, w, _, kh, kw, s = GEOMETRIES[geometry]
+    return (h + 2 * (kh // 2) - kh) // s + 1, (w + 2 * (kw // 2) - kw) // s + 1
+
+
 def check_against_reference(conv, geometry, which, output=True):
-    """Run ``conv(x, weight, stride, padding)`` forward and backward on one
-    geometry; assert its gradients, and with ``output`` its output, equal the
+    """Run ``conv(x, weight, stride)`` forward and backward on one geometry;
+    assert its gradients, and with ``output`` its output, equal the
     reference's bytes."""
-    b_, c, h, w, o, k, s, p = GEOMETRIES[geometry]
+    b_, c, h, w, o, kh, kw, s = GEOMETRIES[geometry]
     x_grad, weight_grad = GRADS[which]
     rng = np.random.default_rng(sorted(GEOMETRIES).index(geometry))
     x = rng.standard_normal((b_, c, h, w)).astype(np.float32)
-    wt = (rng.standard_normal((o, c, k, k)) / np.sqrt(c * k * k)).astype(np.float32)
+    wt = (rng.standard_normal((o, c, kh, kw)) / np.sqrt(c * kh * kw)).astype(np.float32)
     rng.standard_normal(o)  # the draw of a conv bias: g stays as it was
-    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-    g = rng.standard_normal((b_, o, ho, wo)).astype(np.float32)
+    g = rng.standard_normal((b_, o) + out_size(geometry)).astype(np.float32)
 
     xt = Tensor(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), requires_grad=x_grad)
     wtt = Tensor(wt, requires_grad=weight_grad)
-    y = conv(xt, wtt, s, p)
+    y = conv(xt, wtt, s)
     y.backward(np.ascontiguousarray(g.transpose(1, 0, 2, 3)))
-    want = einsum_conv2d(x, wt, s, p, g, x_grad=x_grad, weight_grad=weight_grad)
+    want = einsum_conv2d(x, wt, s, g, x_grad=x_grad, weight_grad=weight_grad)
 
     def nchw(a):
         return None if a is None else a.transpose(1, 0, 2, 3)
@@ -113,27 +128,27 @@ def check_against_reference(conv, geometry, which, output=True):
 @pytest.mark.parametrize("which", sorted(GRADS))
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_conv2d_bit_identical_to_einsum_reference(geometry, which):
-    check_against_reference(
-        lambda x, w, s, p: ops.conv2d(x, w, stride=s, padding=p), geometry, which)
+    check_against_reference(lambda x, w, s: ops.conv2d(x, w, stride=s), geometry, which)
 
 
 @pytest.mark.parametrize("which", sorted(GRADS))
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_each_conv2d_kernel_bit_identical_to_einsum_reference(kernel, geometry, which):
-    b_, c, h, w, o, k, s, p = GEOMETRIES[geometry]
-    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    b_, c, _, _, o, kh, kw, s = GEOMETRIES[geometry]
+    ho, wo = out_size(geometry)
     # A product this small takes BLAS's small-matrix kernels, which may round
     # an output column by its place in the product, so the shift kernel's
     # wider forward products need not match; the rule never picks it here.
     small = kernel == "shift" and o * c * b_ * ho * wo <= ops.BLAS_SMALL_PRODUCT
     if small:
-        assert ops._conv2d_kernel(b_, c, o, k, k, s, ho, wo) is ops._conv2d_taps
+        assert ops._conv2d_kernel(b_, c, o, kh, kw, s, ho, wo) is ops._conv2d_taps
     check_against_reference(KERNELS[kernel], geometry, which, output=not small)
 
 
 # The conv2d plans for which the rule picks the shift kernel; it picks the
-# tap-copy kernel for every other conv2d plan. Per case: the spec and the
+# tap-copy kernel for every other conv2d plan, and for every TM conv (a
+# conv3d plan, run as a (3, 1) kernel). Per case: the spec and the
 # images per batch (clips x T) of stnet-toy at the train workload's 16
 # clips and at the eval workload's 32, of stnet-resnet50 at the infer
 # workload's 112x112, T=4 and 2 clips, and at its own 256x256, T=25 for
@@ -155,11 +170,16 @@ RULE_CASES = {
 def test_rule_picks_per_conv_plan(case):
     preset, overrides, images, shift = RULE_CASES[case]
     spec = arch.with_overrides(arch.load_preset(preset), **overrides)
-    picks = {}
+    picks, tm = {}, {}
     for plan in model.layer_plans(spec):
         if plan.kind == "conv2d":
             o, c, kh, kw = plan.params["w"]
             picks[plan.name] = ops._conv2d_kernel(images, c, o, kh, kw, plan.stride,
                                                   *plan.out_shape[2:])
+        elif plan.kind == "conv3d":
+            t, c, h, w = plan.out_shape
+            tm[plan.name] = ops._conv2d_kernel(images // t, c, c, 3, 1, 1, t, h * w)
     assert {n for n, k in picks.items() if k is ops._conv2d_shift} == set(shift)
     assert any(k is ops._conv2d_taps for k in picks.values())
+    assert set(tm) == {f"tm{i}/conv" for i in spec.tm_after}
+    assert all(k is ops._conv2d_taps for k in tm.values()), tm

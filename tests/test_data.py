@@ -190,6 +190,21 @@ class TestDatasetIO:
             assert a.label == b.label
             assert np.array_equal(a.frames, b.frames)
 
+    @pytest.mark.parametrize("shape, label, field", [
+        ((70000, 3, 1, 1), 0, "frame count 70000 does not fit in a u16"),
+        ((1, 3, 65536, 1), 0, "height 65536 does not fit in a u16"),
+        ((1, 3, 1, 70000), 0, "width 70000 does not fit in a u16"),
+        ((1, 3, 1, 1), 1 << 32, f"label {1 << 32} does not fit in a u32"),
+        ((1, 3, 1, 1), -1, "label -1 does not fit in a u32")])
+    def test_oversize_clip_names_the_field_and_writes_no_file(self, tmp_path, shape,
+                                                              label, field):
+        # Checked before the file is opened, so no truncated file is left.
+        path = tmp_path / "ds.stvd"
+        clips = [gray_clip(2), clip_of(np.zeros(shape, np.uint8), label=label)]
+        with pytest.raises(ValueError, match=f"^clip 1: {field}$"):
+            data.write_dataset(clips, path)
+        assert not path.exists()
+
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.stvd"
         data.write_dataset([], path)

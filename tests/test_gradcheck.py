@@ -24,10 +24,12 @@ def _seq_shape(rng, c):
 
 
 def _case_conv3d_t311(rng):
-    # TM block: dense [O,C,3] weight, no bias, on [B,T,C,H,W].
+    # TM block: conv2d with a (3, 1) kernel on [C,B,T,H*W], through both kernels.
     b, t, c, o = _dim(rng, 1, 3), _dim(rng, 1, 5), _dim(rng, 1, 4), _dim(rng, 1, 4)
-    x = _t(rng, (b, t, c, _dim(rng, 1, 4), _dim(rng, 1, 4)))
-    return grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3))])
+    x = _t(rng, (c, b, t, _dim(rng, 1, 4) * _dim(rng, 1, 4)))
+    w = _t(rng, (o, c, 3, 1))
+    return max(grad_check(lambda *a: kernel(*a, 1), [x, w])
+               for kernel in (ops._conv2d_taps, ops._conv2d_shift))
 
 
 def _case_conv1d_channelwise(rng):
@@ -63,8 +65,8 @@ def _case_global_avg_pool2d(rng):
     return grad_check(lambda x: ops.mean_over(x, (2, 3)), [_t(rng, shape)])
 
 
-# Each fixed-rank call the model makes through temporal_conv3, linear and
-# mean_over, checked on its own so that a rank-specific fault is named by its caller.
+# Each fixed-rank call the model makes through conv2d, temporal_conv3, linear
+# and mean_over, checked on its own so that a rank-specific fault is named by its caller.
 CALL_CASES = {
     "conv3d_t311": _case_conv3d_t311,
     "conv1d_channelwise": _case_conv1d_channelwise,
@@ -88,23 +90,22 @@ def test_op_gradients(op_name):
 
 
 # Fixed shapes for the conv geometries that the random draws of
-# ``_check_conv2d`` (kernel <= 3, padding <= 2) never reach: the 7x7/2
-# stem with padding 3 of the ResNet presets and the 1x1/2 downsample
-# shortcut. Inputs are channel-major, [C, B, H, W]; each runs through both
-# conv2d kernels.
+# ``_check_conv2d`` (kernel <= 3) never reach: the 7x7/2 stem, padded by 3,
+# of the ResNet presets, and the 1x1/2 downsample shortcut. Inputs are
+# channel-major, [C, B, H, W]; each runs through both conv2d kernels.
 CONV2D_GEOMETRIES = {
-    "stem_7x7_s2_p3": ((2, 1, 9, 9), (3, 2, 7, 7), 2, 3),
-    "downsample_1x1_s2_p0": ((3, 2, 5, 5), (4, 3, 1, 1), 2, 0),
+    "stem_7x7_s2_p3": ((2, 1, 9, 9), (3, 2, 7, 7), 2),
+    "downsample_1x1_s2_p0": ((3, 2, 5, 5), (4, 3, 1, 1), 2),
 }
 
 
 @pytest.mark.parametrize("geometry", sorted(CONV2D_GEOMETRIES))
 def test_conv2d_fixed_geometry_gradients(geometry):
-    x_shape, w_shape, stride, padding = CONV2D_GEOMETRIES[geometry]
+    x_shape, w_shape, stride = CONV2D_GEOMETRIES[geometry]
     rng = np.random.default_rng(11)
     inputs = [_t(rng, x_shape), _t(rng, w_shape)]
     for kernel in (ops._conv2d_taps, ops._conv2d_shift):
-        worst = grad_check(lambda *a: kernel(*a, stride, padding), inputs)
+        worst = grad_check(lambda *a: kernel(*a, stride), inputs)
         assert worst < TOL, f"{kernel.__name__} {geometry}: max relative error {worst:.3e}"
 
 

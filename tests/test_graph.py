@@ -1,6 +1,7 @@
 """Model assembly: building, initialization schemes, forward paths, checkpoints."""
 
 import dataclasses
+import math
 import os
 from pathlib import Path
 
@@ -33,6 +34,19 @@ def head_spec(c_in, c_out, num_classes):
     return arch.validate(arch.ArchSpec(
         name="txb-head", t=25, n=1, height=1, width=1, num_classes=num_classes,
         feature_dim=c_in, txb_channels=c_out))
+
+
+def tm_block(x):
+    """The model's TM block as ``init_tm_block`` starts it, in infer mode, on a
+    [B, C, T, H, W] batch; returns [B, C, T, H, W]."""
+    b, c, t, h, w = x.shape
+    conv = model.LayerPlan("tm/conv", "conv3d", {"w": (c, c, 3)}, 0, (t, c, h, w))
+    bn = model.LayerPlan("tm/bn", "bn", {}, 0, (t, c, h, w))
+    p = {f"tm/{k}": Tensor(v) for k, v in model.init_tm_block(c).items()}
+    y = model._run_block(p, model.Block("tm", ((conv, bn),)),
+                         Tensor(x.transpose(1, 0, 2, 3, 4).reshape(c, b * t, h, w)),
+                         training=False)
+    return y.data.reshape(c, b, t, h, w).transpose(1, 0, 2, 3, 4)
 
 
 def batch_for(spec, b=2, seed=0):
@@ -241,12 +255,12 @@ class TestInflation:
         frame = rng.standard_normal((1, 3, 8, 8))
         w3 = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
         want = ops.conv2d(Tensor(frame.transpose(1, 0, 2, 3).astype(np.float32)),
-                          Tensor(w3), padding=1)
+                          Tensor(w3))
         for n in (1, 3, 5):
             stacked = Tensor(np.tile(frame, (1, n, 1, 1)).transpose(1, 0, 2, 3)
                              .astype(np.float32))
             wn = Tensor(model.inflate_first_conv(w3, n).astype(np.float32))
-            got = ops.conv2d(stacked, wn, padding=1)
+            got = ops.conv2d(stacked, wn)
             assert np.abs(got.data - want.data).max() < 1e-5
 
     def test_channel_sum_preserved(self):
@@ -266,12 +280,7 @@ class TestTmInit:
         c, t = 6, 5
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, c, t, 3, 3)).astype(np.float32)
-        p = model.init_tm_block(c)
-        y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)), Tensor(p["conv/w"]))
-        y = ops.batch_norm(y.transpose((2, 0, 1, 3, 4)), Tensor(p["bn/alpha"]),
-                           Tensor(p["bn/beta"]), Tensor(p["bn/mean"]), Tensor(p["bn/var"]),
-                           training=False)
-        y = ops.relu(y).data.transpose(1, 0, 2, 3, 4)
+        y = tm_block(x)
         for ti in range(1, t - 1):
             want = np.maximum(x[:, :, ti - 1:ti + 2].mean(axis=(1, 2)), 0)
             for ci in range(c):
@@ -280,9 +289,7 @@ class TestTmInit:
     def test_constant_input_passthrough(self):
         c, v = 4, 1.25
         x = np.full((1, c, 6, 2, 2), v, dtype=np.float32)
-        p = model.init_tm_block(c)
-        y = ops.temporal_conv3(Tensor(x.transpose(0, 2, 1, 3, 4)), Tensor(p["conv/w"]))
-        y = y.data.transpose(0, 2, 1, 3, 4)
+        y = tm_block(x)
         assert np.abs(y[:, :, 1:-1] - v).max() < 1e-6
 
 
@@ -753,7 +760,8 @@ class TestGraphRelease:
         # The graph holds a node for every conv and batch-norm plan of the model.
         plans = model.layer_plans(m.spec)
         run = [t.op for t in nodes]
-        assert run.count("conv2d") == sum(p.kind == "conv2d" for p in plans) > 0
+        # TM convs (conv3d plans) run through conv2d too.
+        assert run.count("conv2d") == sum(p.kind in ("conv2d", "conv3d") for p in plans) > 0
         assert run.count("batch_norm") == sum(p.kind == "bn" for p in plans) > 0
         loss.backward()
         for t in nodes:
@@ -792,7 +800,7 @@ def _bn_train(x, alpha, beta):
 
 # Each differentiable op, called on tensors of the given input shapes.
 GRAPH_RULE_CASES = {
-    "conv2d": (lambda x, w: ops.conv2d(x, w, padding=1), [(3, 2, 4, 4), (2, 3, 3, 3)]),
+    "conv2d": (ops.conv2d, [(3, 2, 4, 4), (2, 3, 3, 3)]),
     "temporal_conv3": (ops.temporal_conv3, [(2, 3, 4), (5, 4, 3), (5,)]),
     "linear": (ops.linear, [(2, 4), (3, 4), (3,)]),
     "batch_norm": (_bn_train, [(3, 4, 2), (3,), (3,)]),
@@ -834,27 +842,33 @@ class TestPlanGeometry:
     @pytest.mark.parametrize("preset", arch.PRESETS)
     def test_executed_geometry_matches_plans(self, preset, monkeypatch):
         # Every conv2d and batch_norm call of an infer forward runs with its
-        # plan's stride, padding and output shape. Every activation is
+        # plan's weight, stride and output shape. Every activation is
         # channel-major: the batch norm of every (conv, bn) pair takes
-        # [C, B*T, H, W], a tm block's takes [C, B, T, H, W], and the TXB
-        # head's takes the [C, B*T] sequence.
+        # [C, B*T, H, W], and the TXB head's takes the [C, B*T] sequence. A
+        # tm block runs conv2d with its [C, C, 3] weight as a (3, 1) kernel
+        # on a [C, B, T, H*W] view, and its batch norm takes that shape.
         spec = arch.load_preset(preset)
         if spec.stages:
             spec = arch.with_overrides(spec, t=2, res=32)
         m = model.build_model(spec).set_mode("infer")
-        plans = [p for p in model.layer_plans(spec) if p.kind in ("conv2d", "bn")]
-        owner = {id(m.params[f"{p.name}/{'w' if p.kind == 'conv2d' else 'alpha'}"]): p
+        plans = [p for p in model.layer_plans(spec) if p.kind in ("conv2d", "conv3d", "bn")]
+        # Keyed on the parameter's buffer, which a reshaped weight views.
+        owner = {id(m.params[f"{p.name}/{'alpha' if p.kind == 'bn' else 'w'}"].data): p
                  for p in plans}
+
+        def owner_of(t):
+            return owner[id(t.data if t.data.base is None else t.data.base)].name
+
         calls = []
         conv2d, batch_norm = ops.conv2d, ops.batch_norm
 
-        def conv2d_rec(x, weight, stride=1, padding=0):
-            out = conv2d(x, weight, stride=stride, padding=padding)
-            calls.append((owner[id(weight)].name, (stride, padding), out.shape))
+        def conv2d_rec(x, weight, stride=1):
+            out = conv2d(x, weight, stride=stride)
+            calls.append((owner_of(weight), weight.shape, stride, out.shape))
             return out
 
         def batch_norm_rec(x, alpha, *args, **kwargs):
-            calls.append((owner[id(alpha)].name, x.shape))
+            calls.append((owner_of(alpha), x.shape))
             return batch_norm(x, alpha, *args, **kwargs)
 
         monkeypatch.setattr(ops, "conv2d", conv2d_rec)
@@ -868,9 +882,11 @@ class TestPlanGeometry:
         def expected(p):
             t, c = p.out_shape[:2]
             if p.kind == "conv2d":
-                return p.name, (p.stride, p.padding), (c, b * t) + p.out_shape[2:]
+                return p.name, p.params["w"], p.stride, (c, b * t) + p.out_shape[2:]
+            if p.kind == "conv3d":
+                return p.name, (c, c, 3, 1), 1, (c, b, t, math.prod(p.out_shape[2:]))
             if p.name.startswith("tm"):
-                return p.name, (c, b, t) + p.out_shape[2:]
+                return p.name, (c, b, t, math.prod(p.out_shape[2:]))
             if len(p.out_shape) == 4:
                 return p.name, (c, b * t) + p.out_shape[2:]
             return p.name, (c, b * t)
