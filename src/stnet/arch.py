@@ -128,6 +128,16 @@ def with_overrides(spec, t=None, n=None, res=None, num_classes=None):
     return validate(dataclasses.replace(spec, **kw)) if kw else spec
 
 
+def with_components(spec, superimage=True, tm=True, txb=True):
+    """Copy of ``spec`` with StNet components switched off (then re-validated).
+
+    Off means one frame per snippet, no TM blocks, or avg_score for a txb head.
+    """
+    return validate(dataclasses.replace(
+        spec, n=spec.n if superimage else 1, tm_after=spec.tm_after if tm else (),
+        head="avg_score" if spec.head == "txb" and not txb else spec.head))
+
+
 # ---------------------------------------------------------------------------
 # Flat key=value serialization
 # ---------------------------------------------------------------------------
@@ -168,7 +178,8 @@ def coerce(key, raw, typ):
 def read_fields(cls, pairs, prefix=""):
     """Keyword arguments for dataclass ``cls`` from ``(field, raw)`` pairs, typed by annotation.
 
-    An unknown field or a malformed value raises SpecError naming ``prefix + field``.
+    An unknown or repeated field or a malformed value raises SpecError
+    naming ``prefix + field``.
     """
     types = _field_types(cls)
     kwargs = {}
@@ -176,6 +187,8 @@ def read_fields(cls, pairs, prefix=""):
         if key not in types:
             raise SpecError(f"unknown key {prefix + key!r} for {cls.__name__}; "
                             f"known: {', '.join(sorted(types))}")
+        if key in kwargs:
+            raise SpecError(f"{prefix + key}: set more than once")
         kwargs[key] = coerce(prefix + key, raw, types[key])
     return kwargs
 
@@ -202,14 +215,16 @@ def parse_arch(text, name_hint=""):
     """Parse the flat key=value format into a validated ArchSpec.
 
     ``stages.<i>.<field>`` keys set stage ``i``. Older files' ``enable_*``
-    toggles are read, never written: ``false`` requires ``n = 1``, empties
-    ``tm_after`` or makes a txb head avg_score.
+    toggles are read, never written: ``false`` requires ``n = 1`` or
+    switches the component off (:func:`with_components`).
     """
     pairs = []
     toggles = {}
     stage_pairs = {}
     for key, raw in read_kv_lines(text):
         if key in ("enable_superimage", "enable_tm", "enable_txb"):
+            if key in toggles:
+                raise SpecError(f"{key}: set more than once")
             toggles[key] = coerce(key, raw, bool)
         elif key.startswith("stages."):
             parts = key.split(".")
@@ -241,11 +256,8 @@ def parse_arch(text, name_hint=""):
     if not toggles.get("enable_superimage", True) and spec.n != 1:
         raise SpecError(f"{spec.name or '<spec>'}: n: must be 1 when "
                         "enable_superimage is false")
-    if not toggles.get("enable_tm", True):
-        spec = dataclasses.replace(spec, tm_after=())
-    if not toggles.get("enable_txb", True) and spec.head == "txb":
-        spec = dataclasses.replace(spec, head="avg_score")
-    return spec
+    return with_components(spec, tm=toggles.get("enable_tm", True),
+                           txb=toggles.get("enable_txb", True))
 
 
 def _format_value(v):

@@ -100,6 +100,7 @@ def load_checkpoint(path, spec):
                     f"spec {spec.name!r} expects {expected[name]}")
             raw = serial.read_exact(f, 4 * int(np.prod(shape)), f"values of {name!r}")
             loaded[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        serial.expect_end(f, "tensor")
     missing = sorted(set(expected) - set(loaded))
     if missing:
         raise ParamMismatchError(f"checkpoint is missing tensor {missing[0]!r}")

@@ -141,6 +141,7 @@ class SynthConfig:
                                ("frames", self.frames >= 1, ">= 1"),
                                ("object_scale", self.object_scale >= 1, ">= 1"),
                                ("noise", self.noise >= 0, ">= 0"),
+                               ("noise", self.noise <= 255, "<= 255"),
                                ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
@@ -273,6 +274,7 @@ def read_dataset(path):
             frames = np.frombuffer(raw, dtype=np.uint8).reshape(fr, h, w, 3)
             clips.append(VideoClip(frames=frames.transpose(0, 3, 1, 2).copy(),
                                    label=label, clip_id=i))
+        serial.expect_end(f, "clip")
     return clips
 
 

@@ -107,11 +107,10 @@ def _check_conv2d(rng):
 
 
 def _check_temporal_conv3(rng):
-    # One [T,C] or [B,T,C] input through the dense weight and the depthwise
-    # one, each with a bias, as the heads call it.
-    t, c, o = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    shape = (t, c) if rng.integers(2) else (int(rng.integers(1, 3)), t, c)
-    x = _t(rng, shape)
+    # One [B,T,C] input through the dense weight and the depthwise one,
+    # each with a bias, as the heads call it.
+    b, t, c, o = (int(rng.integers(1, hi)) for hi in (3, 6, 4, 4))
+    x = _t(rng, (b, t, c))
     dense = grad_check(ops.temporal_conv3, [x, _t(rng, (o, c, 3)), _t(rng, (o,))])
     depthwise = grad_check(ops.temporal_conv3, [x, _t(rng, (c, 3)), _t(rng, (c,))])
     return max(dense, depthwise)
@@ -174,9 +173,8 @@ def _check_relu(rng):
 
 
 def _check_temporal_max_pool(rng):
-    t, c = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-    shape = (t, c) if rng.integers(2) else (int(rng.integers(1, 3)), t, c)
-    return grad_check(ops.temporal_max_pool, [_distinct_levels(rng, shape, len(shape) - 2)])
+    shape = (int(rng.integers(1, 3)), int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+    return grad_check(ops.temporal_max_pool, [_distinct_levels(rng, shape, 1)])
 
 
 def _check_max_pool2d(rng):

@@ -307,8 +307,8 @@ def _run_block(p, block, x, training):
 def txb_branches(model, seq):
     """Long- and short-branch sequences of the TXB head, before fusion.
 
-    ``seq`` is a [B,T,C_in] (or [T,C_in]) feature sequence; used directly
-    by the receptive-field checks.
+    ``seq`` is a [B,T,C_in] feature sequence; used directly by the
+    receptive-field checks.
     """
     p = model.params
     training = model.mode == "train"

@@ -252,7 +252,7 @@ def _conv2d_shift(x, weight, stride):
 def temporal_conv3(x, weight, bias):
     """3-tap convolution over time with zero padding 1, so T is preserved.
 
-    ``x`` is a [T,C] or [B,T,C] feature sequence of a head. A [C,3] weight
+    ``x`` is the [B,T,C] feature sequence of a head. A [C,3] weight
     is depthwise (one kernel per channel, the channel-wise conv of a
     temporal Xception block); an [O,C,3] weight is dense (the ordinary
     temporal-conv head):
@@ -262,10 +262,8 @@ def temporal_conv3(x, weight, bias):
     with rows outside [0, T) contributing zero. The backbone's TM conv is
     not this op: it runs through :func:`conv2d` as a (3, 1) kernel.
     """
-    _require(x.ndim in (2, 3), f"temporal_conv3 expects [T,C] or [B,T,C], got {x.shape}")
-    squeeze = x.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    t, c = xd.shape[1:]
+    _require(x.ndim == 3, f"temporal_conv3 expects [B,T,C], got {x.shape}")
+    t, c = x.shape[1:]
     if weight.ndim == 2:
         _require(weight.shape == (c, 3),
                  f"temporal_conv3 depthwise weight must have shape ({c}, 3), "
@@ -280,31 +278,27 @@ def temporal_conv3(x, weight, bias):
     _require(bias.shape == (co,), f"temporal_conv3 bias must have shape ({co},)")
     _require(t >= 1, "temporal_conv3 requires T >= 1")
 
-    xp = np.pad(xd, ((0, 0), (1, 1), (0, 0)))
-    y = np.zeros((xd.shape[0], t, co), dtype=np.result_type(xd, weight.data))
+    xp = np.pad(x.data, ((0, 0), (1, 1), (0, 0)))
+    y = np.zeros((x.shape[0], t, co), dtype=np.result_type(x.data, weight.data))
     # One contraction per tap; each tap is a shifted window of the padded input.
     for k in range(3):
         y += np.einsum(f"btc,{wsub}->{ysub}", xp[:, k:k + t], weight.data[..., k],
                        optimize=True)
     y += bias.data
-    if squeeze:
-        y = y[0]
 
     def backward(g):
-        gb = g[None] if squeeze else g
         if weight.requires_grad:
             weight.accumulate_grad(np.stack(
-                [np.einsum(f"{ysub},btc->{wsub}", gb, xp[:, k:k + t], optimize=True)
+                [np.einsum(f"{ysub},btc->{wsub}", g, xp[:, k:k + t], optimize=True)
                  for k in range(3)], axis=-1))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for k in range(3):
-                gxp[:, k:k + t] += np.einsum(f"{ysub},{wsub}->btc", gb,
+                gxp[:, k:k + t] += np.einsum(f"{ysub},{wsub}->btc", g,
                                              weight.data[..., k], optimize=True)
-            gx = gxp[:, 1:t + 1]
-            x.accumulate_grad(gx[0] if squeeze else gx)
+            x.accumulate_grad(gxp[:, 1:t + 1])
         if bias.requires_grad:
-            bias.accumulate_grad(gb.sum(axis=(0, 1)))
+            bias.accumulate_grad(g.sum(axis=(0, 1)))
     return make_node(y, (x, weight, bias), "temporal_conv3", backward)
 
 
@@ -438,22 +432,20 @@ def relu(x):
 
 
 def temporal_max_pool(x):
-    """Max over the time axis: [T,C] -> [C] or [B,T,C] -> [B,C].
+    """Max over the time axis: [B,T,C] -> [B,C].
 
     Gradient is routed to the first occurrence of the per-channel max.
     """
-    _require(x.ndim in (2, 3), f"temporal_max_pool expects [T,C] or [B,T,C], got {x.shape}")
-    taxis = x.ndim - 2
-    _require(x.shape[taxis] >= 1, "temporal_max_pool requires T >= 1")
-    idx = np.argmax(x.data, axis=taxis)
-    y = np.take_along_axis(x.data, np.expand_dims(idx, taxis), axis=taxis)
+    _require(x.ndim == 3, f"temporal_max_pool expects [B,T,C], got {x.shape}")
+    _require(x.shape[1] >= 1, "temporal_max_pool requires T >= 1")
+    idx = np.argmax(x.data, axis=1)[:, None]
+    y = np.take_along_axis(x.data, idx, axis=1)[:, 0]
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, np.expand_dims(idx, taxis),
-                          np.expand_dims(g, taxis), axis=taxis)
+        np.put_along_axis(gx, idx, g[:, None], axis=1)
         x.accumulate_grad(gx)
-    return make_node(np.squeeze(y, axis=taxis), (x,), "temporal_max_pool", backward)
+    return make_node(y, (x,), "temporal_max_pool", backward)
 
 
 def max_pool2d(x):

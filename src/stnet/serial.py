@@ -37,6 +37,13 @@ def read_exact(f, n, what):
     return data
 
 
+def expect_end(f, what):
+    """Raise :class:`FormatError` if any bytes follow the last ``what``."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left:
+        raise FormatError(f"{left} bytes after the last {what}")
+
+
 def expect_magic(f, magic):
     got = f.read(len(magic))
     if got != magic:

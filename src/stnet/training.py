@@ -32,6 +32,7 @@ class TrainConfig:
     lr_steps: tuple[int, ...] = ()  # epoch indices at which lr is multiplied by lr_decay
 
     def __post_init__(self):
+        self.lr_steps = tuple(self.lr_steps)
         # Each test is written so that NaN fails it.
         for name, ok, rule in (
                 ("lr", 0 < self.lr < math.inf, "finite and > 0"),
@@ -40,10 +41,10 @@ class TrainConfig:
                 ("lr_decay", 0 < self.lr_decay < math.inf, "finite and > 0"),
                 ("batch_size", self.batch_size >= 1, ">= 1"),
                 ("epochs", self.epochs >= 1, ">= 1"),
-                ("seed", self.seed >= 0, ">= 0")):
+                ("seed", self.seed >= 0, ">= 0"),
+                ("lr_steps", all(s >= 0 for s in self.lr_steps), "epoch indices >= 0")):
             if not ok:
                 raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
-        self.lr_steps = tuple(self.lr_steps)
 
 
 @dataclass
@@ -88,7 +89,6 @@ class Metrics:
 @dataclass
 class TrainHistory:
     losses: list = field(default_factory=list)   # (step, loss)
-    epochs: int = 0
 
     @property
     def final_loss(self):
@@ -198,7 +198,6 @@ def train(model, clips, cfg, log=None):
                     f"diverged at epoch {epoch}, step {step}: {exc}") from exc
             history.losses.append((step, loss.item()))
             step += 1
-        history.epochs = epoch + 1
         if log:
             recent = [v for _, v in history.losses[first:]]
             log(f"epoch {epoch}: lr={opt.lr:.4g} mean_loss={np.mean(recent):.4f}")
@@ -245,17 +244,9 @@ ABLATION_ROWS = (
 
 
 def variant_spec(base, superimage, tm, txb):
-    """Derive a toggled variant of ``base`` (which should be fully enabled).
-
-    Off means one frame per snippet, no TM blocks, or avg_score for a txb head.
-    """
-    spec = dataclasses.replace(
-        base,
-        name=f"{base.name}[si={int(superimage)},tm={int(tm)},txb={int(txb)}]",
-        n=base.n if superimage else 1,
-        tm_after=base.tm_after if tm else (),
-        head="avg_score" if base.head == "txb" and not txb else base.head)
-    return arch.validate(spec)
+    """``arch.with_components`` of a fully enabled ``base``, named for its toggles."""
+    name = f"{base.name}[si={int(superimage)},tm={int(tm)},txb={int(txb)}]"
+    return arch.with_components(dataclasses.replace(base, name=name), superimage, tm, txb)
 
 
 def run_ablation(train_clips, eval_clips, base_spec, cfg, log=None):

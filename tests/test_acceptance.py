@@ -107,7 +107,7 @@ def test_c05_forward_oracle_equivalence():
         tl, ci, co = int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
         xs = rng.standard_normal((tl, ci))
         wc, bc = rng.standard_normal((ci, 3)), rng.standard_normal(ci)
-        got = ops.temporal_conv3(t64(xs), t64(wc), t64(bc)).data
+        got = ops.temporal_conv3(t64(xs[None]), t64(wc), t64(bc)).data[0]
         assert ref.relative_error(got, ref.conv1d_channelwise_ref(xs, wc, bc)) < 1e-6
         wtw, btw = rng.standard_normal((co, ci)), rng.standard_normal(co)
         got = ops.linear(t64(xs), t64(wtw), t64(btw)).data
@@ -134,7 +134,7 @@ def test_c05_forward_oracle_equivalence():
         got = ops.max_pool2d(t64(x4)).data
         assert np.allclose(got, ref.max_pool2d_ref(x4))
         xs2 = rng.standard_normal((int(rng.integers(1, 7)), int(rng.integers(1, 5))))
-        assert np.allclose(ops.temporal_max_pool(t64(xs2)).data,
+        assert np.allclose(ops.temporal_max_pool(t64(xs2[None])).data[0],
                            ref.temporal_max_pool_ref(xs2))
         instances += 3
 
@@ -183,14 +183,14 @@ def test_c08_receptive_field_properties():
     rng = np.random.default_rng(4)
     t = 13
     x = rng.standard_normal((t, 10))
-    long0, short0 = model.txb_branches(m, Tensor(x))
+    long0, short0 = model.txb_branches(m, Tensor(x[None]))
     long_reach, short_reach = 0, 0
     for t0 in range(t):
         bumped = x.copy()
         bumped[t0] += 0.5
-        long1, short1 = model.txb_branches(m, Tensor(bumped))
-        lch = np.nonzero(np.abs(long1.data - long0.data).max(axis=1) > 1e-9)[0]
-        sch = np.nonzero(np.abs(short1.data - short0.data).max(axis=1) > 1e-9)[0]
+        long1, short1 = model.txb_branches(m, Tensor(bumped[None]))
+        lch = np.nonzero(np.abs(long1.data[0] - long0.data[0]).max(axis=1) > 1e-9)[0]
+        sch = np.nonzero(np.abs(short1.data[0] - short0.data[0]).max(axis=1) > 1e-9)[0]
         assert all(abs(int(i) - t0) <= 2 for i in lch)
         assert list(sch) == [t0]
         if len(lch):

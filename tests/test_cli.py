@@ -277,7 +277,10 @@ def test_non_finite_config_lr_rejected_before_training(capsys, tmp_path, micro_f
     ("train", "lr = fast", "lr: expected a number, got 'fast'"),
     ("train", "lr_steps = 1,x", "lr_steps: expected an integer, got 'x'"),
     ("gen-data", "clips_per_class = 1.5", "clips_per_class: expected an integer, got '1.5'"),
-], ids=["epochs", "lr", "lr_steps", "clips_per_class"])
+    ("train", "seed = 2", "seed: set more than once"),
+    ("gen-data", "seed = 2", "seed: set more than once"),
+], ids=["epochs", "lr", "lr_steps", "clips_per_class", "train-repeated-key",
+        "gen-data-repeated-key"])
 def test_bad_config_value_names_file_and_key(capsys, tmp_path, micro_files,
                                              command, line, message):
     spec, _ = micro_files

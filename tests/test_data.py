@@ -159,10 +159,12 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("field, value, rule", [
         ("object_scale", 0, ">= 1"), ("object_scale", -3, ">= 1"), ("noise", -1, ">= 0"),
-        ("seed", -1, ">= 0")],
-        ids=["object_scale-0", "object_scale-negative", "noise-negative", "seed-negative"])
+        ("noise", 40000, "<= 255"), ("seed", -1, ">= 0")],
+        ids=["object_scale-0", "object_scale-negative", "noise-negative", "noise-above-255",
+             "seed-negative"])
     def test_sizes_that_break_the_data_name_the_field(self, field, value, rule):
-        # object_scale 0 rendered clips with no object; negative sizes failed inside numpy.
+        # object_scale 0 rendered clips with no object; negative sizes, and noise
+        # beyond the 0-255 pixel range, failed inside numpy.
         with pytest.raises(ValueError, match=f"^{field}: must be {rule}, got {value}$"):
             data.SynthConfig(**{field: value})
 
@@ -233,6 +235,13 @@ class TestDatasetIO:
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
         with pytest.raises(TruncatedError):
+            data.read_dataset(path)
+
+    def test_bytes_after_the_last_clip(self, tmp_path):
+        path = tmp_path / "ds.stvd"
+        data.write_dataset([gray_clip(2, value=v) for v in range(6)], path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(FormatError, match="^8 bytes after the last clip$"):
             data.read_dataset(path)
 
     def test_huge_declared_clip_size_names_the_field(self, tmp_path):

@@ -353,20 +353,20 @@ class TestTxb:
         rng = np.random.default_rng(12)
         t = 11
         x = rng.standard_normal((t, 6)).astype(np.float64)
-        long0, short0 = model.txb_branches(m, Tensor(x))
+        long0, short0 = model.txb_branches(m, Tensor(x[None]))
         for t0 in range(t):
             bumped = x.copy()
             bumped[t0] += 0.5
-            long1, short1 = model.txb_branches(m, Tensor(bumped))
-            lchanged = np.nonzero(np.abs(long1.data - long0.data).max(axis=1) > 1e-9)[0]
-            schanged = np.nonzero(np.abs(short1.data - short0.data).max(axis=1) > 1e-9)[0]
+            long1, short1 = model.txb_branches(m, Tensor(bumped[None]))
+            lchanged = np.nonzero(np.abs(long1.data[0] - long0.data[0]).max(axis=1) > 1e-9)[0]
+            schanged = np.nonzero(np.abs(short1.data[0] - short0.data[0]).max(axis=1) > 1e-9)[0]
             assert all(abs(int(i) - t0) <= 2 for i in lchanged)
             assert list(schanged) == [t0]
         # a middle perturbation must actually reach +/-2
         bumped = x.copy()
         bumped[5] += 0.5
-        long1, _ = model.txb_branches(m, Tensor(bumped))
-        changed = np.nonzero(np.abs(long1.data - long0.data).max(axis=1) > 1e-9)[0]
+        long1, _ = model.txb_branches(m, Tensor(bumped[None]))
+        changed = np.nonzero(np.abs(long1.data[0] - long0.data[0]).max(axis=1) > 1e-9)[0]
         assert {3, 4, 5, 6, 7} <= set(int(i) for i in changed)
 
     def test_t1_branches_depend_only_on_center_tap(self):
@@ -378,7 +378,7 @@ class TestTxb:
         x1 = rng.standard_normal((1, 5))
         x2 = rng.standard_normal((1, 5))
         def short(v):
-            return model.txb_branches(m, Tensor(v))[1].data
+            return model.txb_branches(m, Tensor(v[None]))[1].data[0]
         zero = short(np.zeros((1, 5)))
         assert np.abs((short(x1) - zero) + (short(x2) - zero)
                       - (short(x1 + x2) - zero)).max() < 1e-6
@@ -391,7 +391,7 @@ class TestTxb:
         h = np.maximum(h @ p["txb/long/tw1/w"].T + p["txb/long/tw1/b"], 0)
         h = h * p["txb/long/cw2/w"][:, 1] + p["txb/long/cw2/b"]
         h = np.maximum(h @ p["txb/long/tw2/w"].T + p["txb/long/tw2/b"], 0)
-        got = model.txb_branches(m, Tensor(x1))[0].data
+        got = model.txb_branches(m, Tensor(x1[None]))[0].data[0]
         assert np.abs(got - h).max() < 1e-6
 
     def test_head_only_forward(self):
@@ -476,6 +476,14 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(TruncatedError):
+            checkpoint.load_checkpoint(path, spec)
+
+    def test_bytes_after_the_last_tensor(self, tmp_path):
+        spec = tiny_spec()
+        path = tmp_path / "model.stnc"
+        checkpoint.save_checkpoint(model.build_model(spec, seed=0), path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(serial.FormatError, match="^16 bytes after the last tensor$"):
             checkpoint.load_checkpoint(path, spec)
 
     def test_bad_magic_and_version(self, tmp_path):

@@ -129,6 +129,16 @@ def test_stage_key_errors_name_the_key(lines, message):
         arch.parse_arch(BASE + lines)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("t = 8", "t"), ("stages.1.channels = 48", "stages.1.channels"),
+    ("enable_tm = true\nenable_tm = false", "enable_tm")],
+    ids=["field", "stage-field", "old-toggle"])
+def test_a_key_set_twice_is_rejected(line, key):
+    text = arch.format_arch(arch.load_preset("stnet-toy")) + line + "\n"
+    with pytest.raises(arch.SpecError, match=f"^{re.escape(key)}: set more than once$"):
+        arch.parse_arch(text)
+
+
 STEM = "stages.0.kind = conv\nstages.0.channels = 4\n"
 BLOCK = "stages.1.kind = basic\nstages.1.channels = 4\n"
 

@@ -85,9 +85,16 @@ class TestTemporalConv3Input:
 
     def test_spatial_input_rejected(self):
         # Only the heads' sequences: the TM conv runs through conv2d.
-        with pytest.raises(ValueError, match=r"expects \[T,C\] or \[B,T,C\]"):
+        with pytest.raises(ValueError, match=r"expects \[B,T,C\]"):
             ops.temporal_conv3(t64(np.zeros((1, 3, 2, 4, 4))), t64(np.zeros((2, 2, 3))),
                                t64(np.zeros(2)))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 3, 2, 4)])
+    def test_only_batched_sequences_accepted(self, shape):
+        with pytest.raises(ValueError, match=r"expects \[B,T,C\]"):
+            ops.temporal_conv3(t64(np.zeros(shape)), t64(np.zeros((2, 3))), t64(np.zeros(2)))
+        with pytest.raises(ValueError, match=r"expects \[B,T,C\]"):
+            ops.temporal_max_pool(t64(np.zeros(shape)))
 
 
 class TestConv1dChannelwise:
@@ -96,11 +103,11 @@ class TestConv1dChannelwise:
         x = rng.standard_normal((6, 4))
         w = np.zeros((4, 3))
         w[:, 1] = 1.0
-        y = ops.temporal_conv3(t64(x), t64(w), t64(np.zeros(4)))
-        assert np.allclose(y.data, x)
+        y = ops.temporal_conv3(t64(x[None]), t64(w), t64(np.zeros(4)))
+        assert np.allclose(y.data[0], x)
 
     def test_three_step_sequence(self):
-        y = ops.temporal_conv3(t64([[1.0], [2.0], [3.0]]),
+        y = ops.temporal_conv3(t64([[[1.0], [2.0], [3.0]]]),
                                t64(np.ones((1, 3))), t64(np.zeros(1)))
         assert np.allclose(y.data.ravel(), [3, 6, 5])
 
@@ -110,19 +117,19 @@ class TestConv1dChannelwise:
         w, b = rng.standard_normal((2, 3)), rng.standard_normal(2)
         batched = ops.temporal_conv3(t64(x), t64(w), t64(b)).data
         for i in range(3):
-            single = ops.temporal_conv3(t64(x[i]), t64(w), t64(b)).data
-            assert np.allclose(batched[i], single)
+            single = ops.temporal_conv3(t64(x[i:i + 1]), t64(w), t64(b)).data
+            assert np.allclose(batched[i], single[0])
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((7, 3))
         w, b = rng.standard_normal((3, 3)), rng.standard_normal(3)
-        got = ops.temporal_conv3(t64(x), t64(w), t64(b))
-        assert ref.relative_error(got.data, ref.conv1d_channelwise_ref(x, w, b)) < 1e-6
+        got = ops.temporal_conv3(t64(x[None]), t64(w), t64(b))
+        assert ref.relative_error(got.data[0], ref.conv1d_channelwise_ref(x, w, b)) < 1e-6
 
     def test_channel_count_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            ops.temporal_conv3(t64(np.zeros((4, 3))),
+            ops.temporal_conv3(t64(np.zeros((1, 4, 3))),
                                t64(np.zeros((2, 3))), t64(np.zeros(2)))
 
 
@@ -152,8 +159,8 @@ class TestConv1dFull:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((6, 3))
         w, b = rng.standard_normal((4, 3, 3)), rng.standard_normal(4)
-        got = ops.temporal_conv3(t64(x), t64(w), t64(b))
-        assert ref.relative_error(got.data, ref.conv1d_full_ref(x, w, b)) < 1e-6
+        got = ops.temporal_conv3(t64(x[None]), t64(w), t64(b))
+        assert ref.relative_error(got.data[0], ref.conv1d_full_ref(x, w, b)) < 1e-6
 
 
 class TestBatchNorm:
@@ -396,22 +403,22 @@ class TestReluAndPooling:
         assert np.allclose(x.grad[0, 1], 0.5)
 
     def test_tmax_t1_identity(self):
-        x = t64(np.array([[1.0, -2.0, 3.0]]))
-        assert np.allclose(ops.temporal_max_pool(x).data, [1, -2, 3])
+        x = t64(np.array([[[1.0, -2.0, 3.0]]]))
+        assert np.allclose(ops.temporal_max_pool(x).data[0], [1, -2, 3])
 
     def test_tmax_columnwise(self):
-        y = ops.temporal_max_pool(t64([[1.0, 5.0], [3.0, 2.0]]))
-        assert np.allclose(y.data, [3, 5])
+        y = ops.temporal_max_pool(t64([[[1.0, 5.0], [3.0, 2.0]]]))
+        assert np.allclose(y.data[0], [3, 5])
 
     def test_tmax_tie_routes_to_first(self):
-        x = t64([[2.0], [2.0]], grad=True)
-        ops.temporal_max_pool(x).backward(np.array([1.0]))
-        assert np.allclose(x.grad, [[1.0], [0.0]])
+        x = t64([[[2.0], [2.0]]], grad=True)
+        ops.temporal_max_pool(x).backward(np.array([[1.0]]))
+        assert np.allclose(x.grad[0], [[1.0], [0.0]])
 
     def test_tmax_matches_oracle(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((6, 4))
-        got = ops.temporal_max_pool(t64(x)).data
+        got = ops.temporal_max_pool(t64(x[None])).data[0]
         assert np.allclose(got, ref.temporal_max_pool_ref(x))
 
     def test_max_pool2d_matches_oracle(self):
@@ -481,8 +488,8 @@ class TestReceptiveFields:
         w2, b2 = rng.standard_normal((2, 3)), rng.standard_normal(2)
 
         def net(x):
-            h = ops.temporal_conv3(t64(x), t64(w1), t64(b1))
-            return ops.temporal_conv3(h, t64(w2), t64(b2)).data
+            h = ops.temporal_conv3(t64(x[None]), t64(w1), t64(b1))
+            return ops.temporal_conv3(h, t64(w2), t64(b2)).data[0]
 
         x = rng.standard_normal((t, 2))
         base = net(x)
@@ -592,13 +599,13 @@ class TestRandomOracleSweep:
             t, ci, co = int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
             x = rng.standard_normal((t, ci))
             wc, bc = rng.standard_normal((ci, 3)), rng.standard_normal(ci)
-            got = ops.temporal_conv3(t64(x), t64(wc), t64(bc)).data
+            got = ops.temporal_conv3(t64(x[None]), t64(wc), t64(bc)).data[0]
             assert ref.relative_error(got, ref.conv1d_channelwise_ref(x, wc, bc)) < 1e-6
             wt, bt = rng.standard_normal((co, ci)), rng.standard_normal(co)
             got = ops.linear(t64(x), t64(wt), t64(bt)).data
             assert ref.relative_error(got, ref.conv1d_temporalwise_ref(x, wt, bt)) < 1e-6
             wf, bf = rng.standard_normal((co, ci, 3)), rng.standard_normal(co)
-            got = ops.temporal_conv3(t64(x), t64(wf), t64(bf)).data
+            got = ops.temporal_conv3(t64(x[None]), t64(wf), t64(bf)).data[0]
             assert ref.relative_error(got, ref.conv1d_full_ref(x, wf, bf)) < 1e-6
 
     def test_bn_and_pool_sweep(self):
@@ -622,5 +629,5 @@ class TestRandomOracleSweep:
             assert ref.relative_error(ops.mean_over(t64(x4), (2, 3)).data,
                                       ref.global_avg_pool2d_ref(x4)) < 1e-6
             xs = rng.standard_normal((int(rng.integers(1, 7)), int(rng.integers(1, 5))))
-            assert np.allclose(ops.temporal_max_pool(t64(xs)).data,
+            assert np.allclose(ops.temporal_max_pool(t64(xs[None])).data[0],
                                ref.temporal_max_pool_ref(xs))

@@ -75,7 +75,7 @@ class TestSgd:
         ("momentum", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
         ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("weight_decay", -5.0),
-        ("epochs", 0), ("epochs", -1), ("seed", -4),
+        ("epochs", 0), ("epochs", -1), ("seed", -4), ("lr_steps", (2, -1)),
     ])
     def test_config_rejects_non_finite_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: must be"):
