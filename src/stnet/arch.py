@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import typing
 from dataclasses import dataclass
 from importlib import resources
@@ -230,11 +231,10 @@ def parse_arch(text, name_hint=""):
             parts = key.split(".")
             if len(parts) != 3:
                 raise SpecError(f"unknown key {key!r}")
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise SpecError(f"{key}: stage index must be an integer") from None
-            stage_pairs.setdefault(idx, []).append((parts[2], raw))
+            # Plain decimal digits: int() would also take "-1", "+1", "01" and " 1".
+            if not re.fullmatch(r"0|[1-9][0-9]*", parts[1]):
+                raise SpecError(f"{key}: stage index must be a non-negative integer")
+            stage_pairs.setdefault(int(parts[1]), []).append((parts[2], raw))
         else:
             pairs.append((key, raw))
     fields = read_fields(ArchSpec, pairs)

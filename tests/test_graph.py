@@ -800,6 +800,62 @@ class TestGraphRelease:
         assert np.array_equal(x.grad, before)
 
 
+def _closure_arrays(fn):
+    """Every array a backward closure holds: in its cells, in the dicts, tuples
+    and lists there, and in nested closures."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
+class TestBackwardState:
+    @pytest.mark.parametrize("preset", ["stnet-toy", "stnet-resnet50"])
+    def test_closures_hold_no_activation_copies(self, preset):
+        # A train-mode graph keeps every node's output, every parameter and
+        # the caller's labels anyway. Beyond those, a backward closure may
+        # hold only small arrays (per-channel statistics, the max pool's uint8
+        # window index): a padded or normalized copy of an activation is
+        # rebuilt in backward.
+        spec = arch.load_preset(preset)
+        if preset == "stnet-toy":
+            sampler = data.SamplerConfig(t=spec.t, n=spec.n, train=True)
+            arr, labels = data.make_batch(toy_clips(2, seed=0), sampler, seed=0)
+            batch = Tensor(arr)
+        else:    # the 7x7/2 stem with its max pool, and bottleneck blocks
+            spec = arch.with_overrides(spec, t=2, res=32)
+            batch, labels = batch_for(spec, b=2), np.array([3, 5])
+        m = model.build_model(spec, seed=0)
+        nodes = _graph_nodes(ops.softmax_cross_entropy(model.forward(m, batch), labels))
+        kept = {id(t.data) for t in nodes} | {id(t.data) for t in m.params.values()}
+        kept.add(id(labels))
+        ops_run, copies, bn_outputs_held = set(), set(), 0
+        for node in nodes:
+            if node._backward is None:
+                continue
+            ops_run.add(node.op)
+            for arr in _closure_arrays(node._backward):
+                bn_outputs_held += node.op == "batch_norm" and arr is node.data
+                if id(arr) not in kept and 4 * arr.nbytes > node.data.nbytes:
+                    copies.add((node.op, arr.shape, str(arr.dtype)))
+        assert not copies
+        assert {"conv2d", "batch_norm"} <= ops_run
+        assert ("max_pool2d" in ops_run) == (preset != "stnet-toy")
+        # The walk reaches the cells: a fused batch norm's backward reads its output.
+        assert bn_outputs_held > 0
+
+
 def _bn_train(x, alpha, beta):
     c = x.shape[0]
     return ops.batch_norm(x, alpha, beta, Tensor(np.zeros(c)), Tensor(np.ones(c)),

@@ -113,17 +113,29 @@ def test_read_fields_types_come_from_annotations():
 
 
 BASE = "t = 1\nn = 1\nheight = 8\nwidth = 8\nnum_classes = 2\n"
+STEM = "stages.0.kind = conv\nstages.0.channels = 4\n"
+BLOCK = "stages.1.kind = basic\nstages.1.channels = 4\n"
 
 
 @pytest.mark.parametrize("lines, message", [
     ("stages = 1\n", "unknown key 'stages'"),
     ("stages.0 = conv\n", "unknown key 'stages.0'"),
-    ("stages.x.kind = conv\n", "stages.x.kind: stage index must be an integer"),
+    ("stages.x.kind = conv\n", "stages.x.kind: stage index must be a non-negative integer"),
+    # int() takes each of these, as stage -1 or as stage 1.
+    (STEM + "stages.-1.kind = basic\n",
+     "^stages.-1.kind: stage index must be a non-negative integer$"),
+    (STEM + BLOCK + "stages.+1.kind = basic\n",
+     r"^stages.\+1.kind: stage index must be a non-negative integer$"),
+    (STEM + BLOCK + "stages.01.stride = 2\n",
+     "^stages.01.stride: stage index must be a non-negative integer$"),
+    (STEM + BLOCK + "stages. 1.stride = 2\n",
+     "^stages. 1.stride: stage index must be a non-negative integer$"),
     ("stages.0.size = 3\n", "unknown key 'stages.0.size' for StageSpec"),
     ("stages.0.kind = conv\nstages.0.kernel = 3\n", "stages.0: kind and channels are required"),
     ("stages.0.kind = conv\nstages.0.channels = two\n",
      "stages.0.channels: expected an integer, got 'two'"),
-], ids=["bare-stages", "no-field", "index", "stage-field", "required", "stage-value"])
+], ids=["bare-stages", "no-field", "index", "negative-index", "signed-index",
+        "zero-padded-index", "spaced-index", "stage-field", "required", "stage-value"])
 def test_stage_key_errors_name_the_key(lines, message):
     with pytest.raises(arch.SpecError, match=message):
         arch.parse_arch(BASE + lines)
@@ -139,8 +151,6 @@ def test_a_key_set_twice_is_rejected(line, key):
         arch.parse_arch(text)
 
 
-STEM = "stages.0.kind = conv\nstages.0.channels = 4\n"
-BLOCK = "stages.1.kind = basic\nstages.1.channels = 4\n"
 
 
 @pytest.mark.parametrize("lines, field", [

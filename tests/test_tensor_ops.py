@@ -360,6 +360,56 @@ class TestBatchNormRelu:
                            training=False, relu=relu)
         assert y.dtype == np.float32
 
+    @staticmethod
+    def _out_of_place_grads(xd, p, g, training):
+        """Gradients of x, alpha and beta of the fused op, each step a new array."""
+        c = xd.shape[0]
+        bshape = (c,) + (1,) * (xd.ndim - 1)
+        if training:
+            n = xd.size // c
+            xc = xd - (ops._channel_sum(xd) / n).reshape(bshape)
+            inv = 1.0 / np.sqrt(ops._channel_sum(xc * xc) / n + ops.BN_EPS)
+            xhat = xc * inv.reshape(bshape)
+            y = xhat * p["alpha"].reshape(bshape) + p["beta"].reshape(bshape)
+        else:
+            inv = 1.0 / np.sqrt(p["var"] + ops.BN_EPS)
+            xhat = (xd - p["mean"].reshape(bshape)) * inv.reshape(bshape)
+            a = p["alpha"] * inv
+            y = xd * a.reshape(bshape) + (p["beta"] - p["mean"] * a).reshape(bshape)
+        gm = g * (y > 0)
+        ga = gm * p["alpha"].reshape(bshape)
+        if training:
+            s1 = ops._channel_sum(ga).reshape(bshape)
+            s2 = ops._channel_sum(ga * xhat).reshape(bshape)
+            gx = (inv.reshape(bshape) / n) * (n * ga - s1 - xhat * s2)
+        else:
+            gx = ga * inv.reshape(bshape)
+        return gx, ops._channel_sum(gm * xhat), ops._channel_sum(gm)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    def test_in_place_backward_keeps_seed_and_out_of_place_bytes(self, training):
+        # The backward works in the node's own gradient buffer: the caller's
+        # seed is left as it was, and an output used twice (its gradient is
+        # g + g) gets the gradients of the out-of-place formulas, byte for byte.
+        rng = np.random.default_rng(24)
+        xd = rng.standard_normal((5, 6, 4, 3)).astype(np.float32)
+        p = self._draw(rng, 5, np.float32)
+        g = rng.standard_normal(xd.shape).astype(np.float32)
+        seed = g.copy()
+
+        def bn(x, a, b, m, v):
+            return ops.batch_norm(x, a, b, m, v, training=training, relu=True)
+
+        def bn_twice(*args):
+            y = bn(*args)
+            return y + y
+        for fn, g_out in ((bn, g), (bn_twice, g + g)):
+            _, gx, galpha, gbeta, _, _ = self._run(fn, xd, p, g)
+            assert g.tobytes() == seed.tobytes()
+            want = self._out_of_place_grads(xd, p, g_out, training)
+            for got, w in zip((gx, galpha, gbeta), want):
+                assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+
 
 class TestReluAndPooling:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -387,6 +437,18 @@ class TestReluAndPooling:
         up = np.array([0.3, -0.7])
         ops.relu(x).backward(up)
         assert np.array_equal(x.grad, up)
+
+    def test_relu_backward_keeps_the_seed(self):
+        x = t64([-1.0, 2.0, 0.5], grad=True)
+        g = np.array([0.3, -0.7, 1.5])
+        y = ops.relu(x)
+        (y + y).backward(g)
+        assert np.array_equal(g, [0.3, -0.7, 1.5])
+        assert np.array_equal(x.grad, [0.0, -1.4, 3.0])
+        x = t64([-1.0, 2.0, 0.5], grad=True)
+        ops.relu(x).backward(g)
+        assert np.array_equal(g, [0.3, -0.7, 1.5])
+        assert np.array_equal(x.grad, [0.0, -0.7, 1.5])
 
     def test_gap_constant(self):
         y = ops.mean_over(t64(np.full((2, 3, 4, 5), 7.0)), (2, 3))
