@@ -35,15 +35,15 @@ def conv2d(x, weight, stride=1):
 
     Two kernels compute it, with the same bits. ``_conv2d_taps`` copies
     each kernel tap's window of the zero-padded input out as a
-    [C, B*H'*W'] matrix: 9 copies for a 3x3, 49 for a 7x7.
+    [C, b*H'*W'] matrix: 9 copies for a 3x3, 49 for a 7x7.
     ``_conv2d_shift`` makes no copy per tap. It splits the zero-padded
     input once into its stride phases: phase (a, b) holds padded rows a,
-    a+s, ... and columns b, b+s, ..., as [C, B*Hq*Wq] with
+    a+s, ... and columns b, b+s, ..., as [C, b*Hq*Wq] with
     Hq = H' + (kh-1)//s and Wq = W' + (kw-1)//s. Only the phases some tap
     reads are built: one at stride 1 (the padded input, or the input
     itself without padding) and one for a 1x1. Tap (i, j) reads phase
     (i mod s, j mod s) shifted by d = (i//s)*Wq + j//s columns, a view,
-    and adds its product into an [O, B*Hq*Wq] grid whose [:H', :W'] corner
+    and adds its product into an [O, b*Hq*Wq] grid whose [:H', :W'] corner
     of each image is the output:
 
         forward      grid[:, q]       += W[:, :, i, j]   @ phase[:, q + d]
@@ -55,21 +55,49 @@ def conv2d(x, weight, stride=1):
     gradient copies each tap's window x_tap out in both kernels: over the
     grid its dot products would run over more terms, in another order.
     Neither kernel keeps its padded input or phases for the backward: when
-    the weight needs a gradient, the backward builds them again from the
-    input, once, with the forward's own operations; the input gradient
-    needs only their shapes.
+    the weight needs a gradient, the backward builds them from the input
+    for the whole batch, once, with the forward's own operations; the
+    input gradient needs only their shapes.
+
+    Both kernels work through the B images in blocks of b whole images
+    (``_image_blocks``), so that a block's products, grid or window
+    copies and gradient stay in a 2 MB L2 cache rather than streaming
+    through memory once per tap. A block is about ``BLOCK_COLS`` = 4096
+    columns of the kernel's own column space, Hq*Wq per image for the
+    shift kernel and H'*W' for the tap kernel, and the split is even, so
+    the last block is no small tail. Per block, the shift kernel builds
+    the phases of the block's images, zeroes its grid, adds each tap's
+    product and writes the grid's [:H', :W'] corners into the output; the
+    tap kernel pads only the block's images and copies each tap's window
+    of them. The input gradient is blocked over its own positions: the
+    shift kernel's phase gradient (the taps read the block's g_grid
+    behind as many zero columns as the largest d, which stand for the end
+    of the image before, where it has no output) and the tap kernel's
+    padded gradient. The weight gradient is not blocked: its dot products
+    run over all B*H'*W' columns, and blocking them would reorder the
+    sums. A 1x1/1 tap conv copies nothing and stays one product. Block
+    sizes, summed over the convs that ``tests/conv_paths.py`` times with
+    the rule's picks (1 BLAS thread, 2-core AVX-512 Xeon, in two
+    interleaved sweeps): blocks of 1024 to 4096 columns were within 4% of
+    each other on stnet-toy forward plus backward at 64 images, forward
+    at 128 and stnet-resnet50-112 forward at 8; 8192 was 2-6% slower
+    than 4096. 4096 takes the fewest products of those.
 
     Why the bits agree: every product has the operands, layouts and
     shape that a per-tap ``np.einsum(..., optimize=True)`` passes to
-    ``matmul``, up to the grid's extra columns, and every element adds its
-    taps in row-major kernel order. Extra columns are cropped away in the
-    forward and carry zero gradient, so they add exact zeros. One product
-    per image, or with its operands swapped, would not agree: BLAS kernels
-    for small or odd-sized matrices can order a dot product differently.
-    For that reason the shift kernel runs only on products of more than
-    ``BLAS_SMALL_PRODUCT`` multiplications. OpenBLAS's small-matrix
-    kernels, which take the smaller ones, round a column by its place in
-    the product, so the grid's wider product could move the last outputs.
+    ``matmul``, up to the grid's extra columns and the block's columns,
+    and every element, computed in one block, adds its taps in row-major
+    kernel order in both directions. Extra columns are cropped away in
+    the forward and carry zero gradient, so they add exact zeros. One
+    product per image, or with its operands swapped, would not agree:
+    BLAS kernels for small or odd-sized matrices can order a dot product
+    differently. OpenBLAS's small-matrix kernels, which take products of
+    at most ``BLAS_SMALL_PRODUCT`` multiplications, round a column by its
+    place in the product. So every block's product is above that size
+    (blocks are made wider until it is, and a conv too small for two such
+    blocks is one block, the product of the einsum), the shift kernel runs
+    only on convs whose whole product is above it, and the weight
+    gradient, unblocked, is the einsum's product.
 
     The rule (``_conv2d_kernel``) reads the shapes alone and is a speed
     choice, never a numerics fork. It picks the shift kernel when the
@@ -81,34 +109,38 @@ def conv2d(x, weight, stride=1):
 
     A tap copy moves C*B*H'*W' values; the grid's extra columns cost
     O*C*B*(Hq*Wq - H'*W') multiplications per tap. Measured with
-    ``tests/conv_paths.py`` (1 BLAS thread, 2-core AVX-512 Xeon): shift
-    time over taps time for the pinned specs' 3x3 and 7x7 convs, forward
-    plus backward at 64 images and forward at 128 (stnet-toy), forward at
-    8 images (stnet-resnet50 at 112x112):
+    ``tests/conv_paths.py`` (1 BLAS thread, 2-core AVX-512 Xeon, mean of
+    two runs): shift time over taps time for the pinned specs' 3x3 and
+    7x7 convs, forward plus backward at 64 images and forward at 128
+    (stnet-toy), forward at 8 images (stnet-resnet50 at 112x112):
 
         C->O       k/s  H'xW'  O*waste  fwd+bwd   fwd
-        9->16      3/1  32x32      2.1     0.89  0.83
-        16->16     3/1  32x32      2.1     0.87  0.69
-        16->32     3/2  16x16      4.1     0.86  0.71
-        15->64     7/2  56x56      7.0        -  0.75
-        32->32     3/1  16x16      8.5     0.87  0.80
-        64->64     3/1  28x28      9.5        -  0.99
-        32->64     3/2   8x8      17.0     0.91  0.92
-        128->128   3/2  14x14     18.9        -  1.04
-        64->64     3/1   8x8      36.0     0.98  1.11
-        128->128   3/1  14x14     39.2        -  1.15
-        256->256   3/2   7x7      78.4        -  1.15
-        256->256   3/1   7x7     167.2        -  1.33
-        512->512   3/2   4x4     288.0        -  1.23
-        512->512   3/1   4x4     640.0        -  1.51
+        9->16      3/1  32x32      2.1     0.89  0.80
+        16->16     3/1  32x32      2.1     0.77  0.70
+        16->32     3/2  16x16      4.1     0.79  0.80
+        15->64     7/2  56x56      7.0        -  0.85
+        32->32     3/1  16x16      8.5     0.83  0.77
+        64->64     3/1  28x28      9.5        -  0.91
+        32->64     3/2   8x8      17.0     0.91  0.81
+        128->128   3/2  14x14     18.9        -  0.82
+        64->64     3/1   8x8      36.0     0.93  0.98
+        128->128   3/1  14x14     39.2        -  1.10
+        256->256   3/2   7x7      78.4        -  1.05
+        256->256   3/1   7x7     167.2        -  1.30
+        512->512   3/2   4x4     288.0        -  1.17
+        512->512   3/1   4x4     640.0        -  1.44
 
-    where O*waste = O * (Hq*Wq - H'*W') / (H'*W'). A 1x1 conv has one tap
-    and nothing to save: both kernels take one product, and it stays with
-    the tap kernel. So does a (3, 1) TM conv, though its grid wastes only
-    2*O/T per output: on the TM convs of the pinned specs, measured the same
-    way on [C, B, T, H*W], shift over taps read 1.19 and 1.12 (stnet-toy
-    tm2 and tm3, fwd+bwd at 16 clips), 1.11 and 1.22 (fwd at 32 clips) and
-    1.10 and 1.23 (stnet-resnet50-112, fwd at 2 clips).
+    where O*waste = O * (Hq*Wq - H'*W') / (H'*W'). The cut-off stays at
+    18, though the rows at 18.9 and 36.0 read below 1: stnet-resnet50's
+    own 256->256 3/2 at 16x16 on 25 images (O*waste 33.0) read 1.09, so
+    no cut-off on waste alone takes those two and leaves it. A 1x1 conv
+    has one tap and nothing to save: both kernels take one product, and it
+    stays with the tap kernel. So does a (3, 1) TM conv, though its grid
+    wastes only 2*O/T per output: on the TM convs of the pinned specs,
+    measured the same way on [C, B, T, H*W], shift over taps read 1.09
+    and 1.13 (stnet-toy tm2 and tm3, fwd+bwd at 16 clips), 1.23 and 1.07
+    (fwd at 32 clips) and 1.40 and 1.35 (stnet-resnet50-112, fwd at 2
+    clips).
     """
     _require(x.ndim == 4, f"conv2d input must be 4D, got {x.shape}")
     _require(weight.ndim == 4, f"conv2d weight must be 4D, got {weight.shape}")
@@ -123,10 +155,12 @@ def conv2d(x, weight, stride=1):
 
 
 # The rule of ``conv2d``: the most grid multiplications wasted per saved
-# tap-copy value for which the shift kernel is the faster, and the largest
-# product (in multiplications) that OpenBLAS's small-matrix sgemm kernels take.
+# tap-copy value for which the shift kernel is the faster, the largest
+# product (in multiplications) that OpenBLAS's small-matrix sgemm kernels
+# take, and the columns of an image block (measured in the docstring).
 SHIFT_MAX_WASTE = 18
 BLAS_SMALL_PRODUCT = 100 ** 3
+BLOCK_COLS = 4096
 
 
 def _conv2d_kernel(images, c, o, kh, kw, stride, ho, wo):
@@ -151,37 +185,58 @@ def _padded(xd, ph, pw):
     return xp
 
 
+def _image_blocks(images, cols, per_col):
+    """(start, stop) of each run of whole images a conv kernel works through.
+
+    ``cols`` is the kernel's columns per image and ``per_col`` the
+    multiplications per column of its products (O*C). The images are split
+    evenly into consecutive runs of about ``BLOCK_COLS`` columns, each of at
+    least one image, so that no run is a small tail. Runs are made wider
+    until each one's product is above ``BLAS_SMALL_PRODUCT``; a conv too
+    small for two such runs is one run.
+    """
+    fewest = BLAS_SMALL_PRODUCT // (per_col * cols) + 1    # images per run
+    n = max(1, min(round(images * cols / BLOCK_COLS), images // fewest))
+    return [(images * k // n, images * (k + 1) // n) for k in range(n)]
+
+
 def _conv2d_taps(x, weight, stride):
-    """conv2d by one copied [C, B*H'*W'] window of the padded input per tap."""
+    """conv2d by one copied [C, b*H'*W'] window of the padded input per tap and block."""
     c, b_, h, w = x.shape
     o, _, kh, kw = weight.shape
     ph, pw = kh // 2, kw // 2
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (w + 2 * pw - kw) // stride + 1
-    xc = _padded(x.data, ph, pw)
+    # A 1x1/1 conv copies nothing: its window is the input, one product.
+    blocks = ([(0, b_)] if kh == kw == stride == 1
+              else _image_blocks(b_, ho * wo, o * c))
     # Kernel taps in row-major order, each with the rows and columns of the
     # padded input it reads.
     taps = [(i, j, slice(i, i + stride * (ho - 1) + 1, stride),
              slice(j, j + stride * (wo - 1) + 1, stride))
             for i in range(kh) for j in range(kw)]
     y = np.zeros((o, b_ * ho * wo), dtype=np.result_type(x.data, weight.data))
-    for i, j, hs, ws in taps:
-        y += weight.data[:, :, i, j] @ xc[:, :, hs, ws].reshape(c, -1)
+    for b0, b1 in blocks:
+        xc = _padded(x.data[:, b0:b1], ph, pw)
+        yb = y[:, b0 * ho * wo:b1 * ho * wo]
+        for i, j, hs, ws in taps:
+            yb += weight.data[:, :, i, j] @ xc[:, :, hs, ws].reshape(c, -1)
 
     def backward(g):
-        g = g.reshape(o, -1)
         if weight.requires_grad:
             xp = _padded(x.data, ph, pw)    # rebuilt: the graph keeps no padded copy
-            g_l = np.ascontiguousarray(g.T)
+            g_l = np.ascontiguousarray(g.reshape(o, -1).T)
             gw = np.empty(weight.shape, g.dtype)    # every tap slice is written once
             for i, j, hs, ws in taps:
                 gw[:, :, i, j] = (xp[:, :, hs, ws].reshape(c, -1) @ g_l).T
             weight.accumulate_grad(gw)
         if x.requires_grad:
             gxc = np.zeros((c, b_, h + 2 * ph, w + 2 * pw), x.dtype)
-            for i, j, hs, ws in taps:
-                gxc[:, :, hs, ws] += (weight.data[:, :, i, j].T @ g).reshape(
-                    c, b_, ho, wo)
+            for b0, b1 in blocks:
+                gb = g[:, b0:b1].reshape(o, -1)
+                for i, j, hs, ws in taps:
+                    gxc[:, b0:b1, hs, ws] += (weight.data[:, :, i, j].T @ gb).reshape(
+                        c, b1 - b0, ho, wo)
             x.accumulate_grad(gxc[:, :, ph:ph + h, pw:pw + w])
     return make_node(y.reshape(o, b_, ho, wo), (x, weight), "conv2d", backward)
 
@@ -199,7 +254,7 @@ def _phase_rows(n, q, phase, stride, padding):
 
 
 def _conv2d_shift(x, weight, stride):
-    """conv2d by column-offset views of the padded input's stride phases."""
+    """conv2d by column-offset views of the padded input's stride phases, per block."""
     c, b_, h, w = x.shape
     o, _, kh, kw = weight.shape
     s = stride
@@ -207,66 +262,69 @@ def _conv2d_shift(x, weight, stride):
     ho = (h + 2 * ph - kh) // s + 1
     wo = (w + 2 * pw - kw) // s + 1
     hq, wq = ho + (kh - 1) // s, wo + (kw - 1) // s
-    n = b_ * hq * wq
-    # Grid columns from the first to the last output position.
-    span = n - (hq - ho) * wq - (wq - wo)
-    # Phase (a, b) holds padded rows a, a+s, ... and columns b, b+s, ..., as
-    # [C, B, Hq, Wq]; only the phases some tap reads are built.
+    lead = (kh - 1) // s * wq + (kw - 1) // s    # the largest tap offset
+    blocks = _image_blocks(b_, hq * wq, o * c)
     cuts = {(a, b): (_phase_rows(h, hq, a, s, ph), _phase_rows(w, wq, b, s, pw))
             for a in range(min(s, kh)) for b in range(min(s, kw))}
 
-    def stride_phases():
+    def stride_phases(b0, b1):
+        """Phase (a, b) of images b0..b1: their padded rows a, a+s, ... and
+        columns b, b+s, ..., as [C, (b1-b0)*Hq*Wq], then ``lead`` zero columns
+        that the products read past the last image, into cropped positions
+        only. Only the phases some tap reads are built."""
+        xb = x.data[:, b0:b1]
+        cols = (b1 - b0) * hq * wq
         if s == 1 and ph == pw == 0:
-            return {(0, 0): x.data}
+            return {(0, 0): xb.reshape(c, cols)}
         phases = {}
         for ab, ((pr, xr), (pc, xcol)) in cuts.items():
-            phases[ab] = np.zeros((c, b_, hq, wq), x.dtype)
-            phases[ab][:, :, pr, pc] = x.data[:, :, xr, xcol]
+            phases[ab] = np.zeros((c, cols + lead), x.dtype)
+            phases[ab][:, :cols].reshape(c, b1 - b0, hq, wq)[:, :, pr, pc] = xb[:, :, xr, xcol]
         return phases
 
-    flat = {ab: ph.reshape(c, n) for ab, ph in stride_phases().items()}
     taps = [(i, j, (i % s, j % s), (i // s) * wq + j // s)
             for i in range(kh) for j in range(kw)]
-    grid = np.zeros((o, n), np.result_type(x.data, weight.data))
-    prod = np.empty((o, span), grid.dtype)
-    for i, j, ab, d in taps:
-        np.matmul(weight.data[:, :, i, j], flat[ab][:, d:d + span], out=prod)
-        grid[:, :span] += prod
-    y = grid.reshape(o, b_, hq, wq)
-    if (hq, wq) != (ho, wo):
-        y = np.ascontiguousarray(y[:, :, :ho, :wo])
-    # The product and grid go before the phases, which ``flat`` frees on
-    # return. Freed phases first, glibc's heap held 17 MB more at the peak
-    # of a ResNet-50-112 inference run (508 -> 525 MB RSS).
-    del prod, grid
+    y = np.empty((o, b_, ho, wo), np.result_type(x.data, weight.data))
+    for b0, b1 in blocks:
+        phases = stride_phases(b0, b1)
+        cols = (b1 - b0) * hq * wq
+        grid = np.zeros((o, cols), y.dtype)
+        prod = np.empty_like(grid)
+        for i, j, ab, d in taps:
+            np.matmul(weight.data[:, :, i, j], phases[ab][:, d:d + cols], out=prod)
+            grid += prod
+        y[:, b0:b1] = grid.reshape(o, b1 - b0, hq, wq)[:, :, :ho, :wo]
 
     def backward(g):
         if weight.requires_grad:
-            phases = stride_phases()    # rebuilt: the graph keeps no phase copies
+            phases = stride_phases(0, b_)    # the graph keeps no phase copies
             g_l = np.ascontiguousarray(g.reshape(o, -1).T)
             gw = np.empty(weight.shape, g.dtype)    # every tap slice is written once
             for i, j, ab, _ in taps:
-                win = phases[ab][:, :, i // s:i // s + ho, j // s:j // s + wo]
+                win = phases[ab][:, :b_ * hq * wq].reshape(c, b_, hq, wq)[
+                    :, :, i // s:i // s + ho, j // s:j // s + wo]
                 gw[:, :, i, j] = (win.reshape(c, -1) @ g_l).T
             weight.accumulate_grad(gw)
         if x.requires_grad:
-            if (hq, wq) == (ho, wo):
-                gg = g.reshape(o, n)
-            else:
-                gg = np.zeros((o, b_, hq, wq), g.dtype)
-                gg[:, :, :ho, :wo] = g
-                gg = gg.reshape(o, n)[:, :span]
-            gflat = {ab: np.zeros((c, n), x.dtype) for ab in cuts}
-            prod = np.empty((c, span), x.dtype)
-            for i, j, ab, d in taps:
-                np.matmul(weight.data[:, :, i, j].T, gg, out=prod)
-                gflat[ab][:, d:d + span] += prod
-            if s == 1:
-                gx = gflat[0, 0].reshape(c, b_, hq, wq)[:, :, ph:ph + h, pw:pw + w]
-            else:
-                gx = np.zeros(x.shape, x.dtype)
+            # At stride 1 every input position is in the one phase; a larger
+            # stride may skip some, whose gradient is 0.
+            gx = (np.empty if s == 1 else np.zeros)(x.shape, x.dtype)
+            for b0, b1 in blocks:
+                cols = (b1 - b0) * hq * wq
+                # The block's gradient on its grid, after ``lead`` zero columns
+                # that stand for the end of the image before: rows and columns
+                # beyond the output's, which get no gradient.
+                gg = np.zeros((o, lead + cols), g.dtype)
+                gg[:, lead:].reshape(o, b1 - b0, hq, wq)[:, :, :ho, :wo] = g[:, b0:b1]
+                gphase = {ab: np.zeros((c, cols), x.dtype) for ab in cuts}
+                prod = np.empty((c, cols), x.dtype)
+                for i, j, ab, d in taps:
+                    np.matmul(weight.data[:, :, i, j].T, gg[:, lead - d:lead - d + cols],
+                              out=prod)
+                    gphase[ab] += prod
                 for ab, ((pr, xr), (pc, xcol)) in cuts.items():
-                    gx[:, :, xr, xcol] = gflat[ab].reshape(c, b_, hq, wq)[:, :, pr, pc]
+                    gx[:, b0:b1, xr, xcol] = gphase[ab].reshape(
+                        c, b1 - b0, hq, wq)[:, :, pr, pc]
             x.accumulate_grad(gx)
     return make_node(y, (x, weight), "conv2d", backward)
 

@@ -10,11 +10,13 @@ the batch of each benchmark workload, and for every TM conv, run as
 ``ops._conv2d_shift`` on the same random input: forward plus backward
 for train, forward only for infer. Each kernel's time is the best of
 ``--reps`` alternating runs. It prints both times, the faster kernel, the
-kernel that ``ops.conv2d``'s rule picks, and whether the two kernels gave
-the same bits (the output, and for train both gradients). Times within
-3% of each other are a tie; a pick that loses by more is marked ``<<``.
-Run it on another machine to check the rule there. The file name keeps
-it out of pytest collection.
+kernel that ``ops.conv2d``'s rule picks, the image blocks the picked
+kernel works through (count x columns of the widest block, to check
+``ops.BLOCK_COLS`` against another machine's L2 cache), and whether the
+two kernels gave the same bits (the output, and for train both
+gradients). Times within 3% of each other are a tie; a pick that loses
+by more is marked ``<<``. Run it on another machine to check the rule
+there. The file name keeps it out of pytest collection.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import numpy as np
 
 from stnet import arch, model, ops
 from stnet.tensor import Tensor
+
+from test_conv2d_exact import block_args
 
 KERNELS = {"taps": ops._conv2d_taps, "shift": ops._conv2d_shift}
 TIE = 0.03      # kernels within 3% of each other are a tie
@@ -67,6 +71,15 @@ def conv_inputs(spec, images):
     return out
 
 
+def blocks(kernel, images, c, o, kh, kw, stride, ho, wo):
+    """(count, columns of the widest) of the image blocks ``kernel`` works through."""
+    args = block_args(kernel, images, c, o, kh, kw, stride, ho, wo)
+    if args is None:    # one product
+        return 1, images * ho * wo
+    runs = ops._image_blocks(*args)
+    return len(runs), max(b1 - b0 for b0, b1 in runs) * args[1]
+
+
 def run(kernel, x, wt, g, stride):
     """(seconds, [y, x grad, weight grad]) of one call and, with ``g``, its backward."""
     x.zero_grad()
@@ -86,7 +99,7 @@ def main():
     for label, spec, images, train in CASES:
         print(f"# {label}, {images} images")
         print(f"{'layer':<24} {'C->O':>10} {'k/s':>4} {'HxW':>7} "
-              f"{'taps ms':>8} {'shift ms':>8} {'faster':>6} {'rule':>6} bits")
+              f"{'taps ms':>8} {'shift ms':>8} {'faster':>6} {'rule':>6} {'blocks':>9} bits")
         totals = dict.fromkeys(KERNELS, 0.0)
         for conv, x_shape, w_shape, stride, first in conv_inputs(spec, images):
             c, b, h, w = x_shape
@@ -111,12 +124,14 @@ def main():
                 faster = "tie"
             pick = ops._conv2d_kernel(b, c, o, kh, kw, stride, ho, wo)
             rule = next(n for n, kern in KERNELS.items() if kern is pick)
+            count, width = blocks(pick, b, c, o, kh, kw, stride, ho, wo)
             for name in KERNELS:
                 totals[name] += best[name]
             k = f"{kh}/{stride}" if kh == kw else f"{kh}x{kw}"
             print(f"{conv.name:<24} {f'{c}->{o}':>10} {k:>4} "
                   f"{f'{h}x{w}':>7} {best['taps'] * 1e3:8.2f} {best['shift'] * 1e3:8.2f} "
-                  f"{faster:>6} {rule:>6} {'equal' if same else 'DIFFER'}"
+                  f"{faster:>6} {rule:>6} {f'{count}x{width}':>9} "
+                  f"{'equal' if same else 'DIFFER'}"
                   f"{'' if faster in (rule, 'tie') else '  <<'}")
         print(f"{'total':<24} {'':>10} {'':>4} {'':>7} "
               f"{totals['taps'] * 1e3:8.2f} {totals['shift'] * 1e3:8.2f}")

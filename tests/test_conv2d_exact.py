@@ -9,7 +9,9 @@ hinge on float rounding stay put only while they do. The float32 output
 and every gradient are compared with ``tobytes()``, for ``ops.conv2d``
 (the kernel its rule picks) and for each kernel on its own. The TM
 block's temporal conv is among them, as a (3, 1) kernel on a
-[C, B, T, H*W] view.
+[C, B, T, H*W] view. Both kernels work through blocks of whole images;
+the geometries at the eval batch run several blocks, and the block rule
+has its own test.
 """
 
 import numpy as np
@@ -57,7 +59,11 @@ def einsum_conv2d(x, weight, stride, g, x_grad=True, weight_grad=True):
 # 4-clip batch, and 64 channels on a 7x7 output. The last four reach the
 # shift kernel's edge cases: an odd padded extent at stride 2 (15x15
 # input, padding 1), stride 3 (nine phases, one tap each), and a 1x1/2
-# that reads one phase of an odd-sized input.
+# that reads one phase of an odd-sized input. The last six run at the
+# eval workload's 128 images (32 clips), where both kernels work through
+# several image blocks: the stem, a 16->16 3x3, a 32->64 3x3/2 whose
+# blocks the product floor widens, and on the tap kernel the TM convs and
+# a 1x1/2.
 GEOMETRIES = {
     "toy_stem_3x3_9ch": (64, 9, 32, 32, 16, 3, 3, 1),
     "toy_3x3_s1": (64, 16, 32, 32, 16, 3, 3, 1),
@@ -77,6 +83,12 @@ GEOMETRIES = {
     "3x3_s2_odd_15x15": (64, 16, 15, 15, 32, 3, 3, 2),
     "3x3_s3": (64, 16, 17, 17, 32, 3, 3, 3),
     "1x1_s2_odd_15x15": (64, 16, 15, 15, 32, 1, 1, 2),
+    "eval_stem_3x3_9ch": (128, 9, 32, 32, 16, 3, 3, 1),
+    "eval_3x3_s1": (128, 16, 32, 32, 16, 3, 3, 1),
+    "eval_3x3_s2_to_8x8": (128, 32, 16, 16, 64, 3, 3, 2),
+    "eval_tm2_3x1": (32, 32, 4, 16 * 16, 32, 3, 1, 1),
+    "eval_tm3_3x1": (32, 64, 4, 8 * 8, 64, 3, 1, 1),
+    "eval_1x1_s2": (128, 16, 32, 32, 32, 1, 1, 2),
 }
 
 GRADS = {"both": (True, True), "weight_only": (False, True), "x_only": (True, False)}
@@ -183,3 +195,49 @@ def test_rule_picks_per_conv_plan(case):
     assert any(k is ops._conv2d_taps for k in picks.values())
     assert set(tm) == {f"tm{i}/conv" for i in spec.tm_after}
     assert all(k is ops._conv2d_taps for k in tm.values()), tm
+
+
+def block_args(kernel, images, c, o, kh, kw, stride, ho, wo):
+    """(images, columns per image, multiplications per column) that ``kernel``
+    passes to ``ops._image_blocks``; None for a 1x1/1 tap conv, which is one
+    product. The shift kernel's columns are its grid's, the tap kernel's the
+    output's."""
+    if kernel is ops._conv2d_shift:
+        return images, (ho + (kh - 1) // stride) * (wo + (kw - 1) // stride), o * c
+    return None if kh == kw == stride == 1 else (images, ho * wo, o * c)
+
+
+def geometry_block_args(kernel, geometry):
+    b_, c, _, _, o, kh, kw, s = GEOMETRIES[geometry]
+    return block_args(KERNELS[kernel], b_, c, o, kh, kw, s, *out_size(geometry))
+
+
+BLOCK_CASES = {f"{k}-{g}": geometry_block_args(k, g) for k in KERNELS for g in GEOMETRIES
+               if geometry_block_args(k, g) is not None}
+BLOCK_CASES.update({
+    "one_image": (1, 34 * 34, 16 * 9),
+    "one_small_image": (1, 8 * 8, 3 * 16),
+    "small_conv": (16, 32 * 32, 3 * 16),
+    "images_wider_than_a_block": (6, 3 * ops.BLOCK_COLS, 64 * 64),
+    "one_image_wider_than_a_block": (1, 3 * ops.BLOCK_COLS, 64 * 64),
+})
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_image_blocks_are_even_runs_of_whole_images(case):
+    images, cols, per_col = BLOCK_CASES[case]
+    blocks = ops._image_blocks(images, cols, per_col)
+    assert blocks[0][0] == 0 and blocks[-1][1] == images
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    sizes = [b1 - b0 for b0, b1 in blocks]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1, sizes
+    if len(blocks) > 1:
+        assert per_col * cols * min(sizes) > ops.BLAS_SMALL_PRODUCT
+    if cols >= ops.BLOCK_COLS and per_col * cols > ops.BLAS_SMALL_PRODUCT:
+        assert sizes == [1] * images
+
+
+@pytest.mark.parametrize("geometry", sorted(g for g in GEOMETRIES if g.startswith("eval_")))
+def test_eval_geometries_run_several_blocks(geometry):
+    for kernel in KERNELS:
+        assert len(ops._image_blocks(*geometry_block_args(kernel, geometry))) > 1, kernel
