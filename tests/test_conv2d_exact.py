@@ -11,8 +11,15 @@ and every gradient are compared with ``tobytes()``, for ``ops.conv2d``
 block's temporal conv is among them, as a (3, 1) kernel on a
 [C, B, T, H*W] view. Both kernels work through blocks of whole images;
 the geometries at the eval batch run several blocks, and the block rule
-has its own test.
+has its own test. The blocks, and the weight gradient's taps, run on a
+pool of threads; each kernel must give the same bits with the pool as in
+one thread.
 """
+
+import os
+import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -103,29 +110,44 @@ def out_size(geometry):
     return (h + 2 * (kh // 2) - kh) // s + 1, (w + 2 * (kw // 2) - kw) // s + 1
 
 
-def check_against_reference(conv, geometry, which, output=True):
-    """Run ``conv(x, weight, stride)`` forward and backward on one geometry;
-    assert its gradients, and with ``output`` its output, equal the
-    reference's bytes."""
-    b_, c, h, w, o, kh, kw, s = GEOMETRIES[geometry]
-    x_grad, weight_grad = GRADS[which]
+def geometry_inputs(geometry):
+    """(x, weight, g) of one geometry: float32 NCHW input, kernel and upstream
+    gradient, drawn from the geometry's own seed."""
+    b_, c, h, w, o, kh, kw, _ = GEOMETRIES[geometry]
     rng = np.random.default_rng(sorted(GEOMETRIES).index(geometry))
     x = rng.standard_normal((b_, c, h, w)).astype(np.float32)
     wt = (rng.standard_normal((o, c, kh, kw)) / np.sqrt(c * kh * kw)).astype(np.float32)
     rng.standard_normal(o)  # the draw of a conv bias: g stays as it was
     g = rng.standard_normal((b_, o) + out_size(geometry)).astype(np.float32)
+    return x, wt, g
 
+
+def nchw(a):
+    return None if a is None else a.transpose(1, 0, 2, 3)
+
+
+def run_conv(conv, geometry, which):
+    """(y, x grad, weight grad) of ``conv(x, weight, stride)`` forward and
+    backward on one geometry, in NCHW; None for a gradient not asked for."""
+    x, wt, g = geometry_inputs(geometry)
+    x_grad, weight_grad = GRADS[which]
     xt = Tensor(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), requires_grad=x_grad)
     wtt = Tensor(wt, requires_grad=weight_grad)
-    y = conv(xt, wtt, s)
+    y = conv(xt, wtt, GEOMETRIES[geometry][-1])
     y.backward(np.ascontiguousarray(g.transpose(1, 0, 2, 3)))
-    want = einsum_conv2d(x, wt, s, g, x_grad=x_grad, weight_grad=weight_grad)
+    return nchw(y.data), nchw(xt.grad), wtt.grad
 
-    def nchw(a):
-        return None if a is None else a.transpose(1, 0, 2, 3)
 
+def check_against_reference(conv, geometry, which, output=True):
+    """Run ``conv(x, weight, stride)`` forward and backward on one geometry;
+    assert its gradients, and with ``output`` its output, equal the
+    reference's bytes."""
+    x, wt, g = geometry_inputs(geometry)
+    x_grad, weight_grad = GRADS[which]
+    want = einsum_conv2d(x, wt, GEOMETRIES[geometry][-1], g,
+                         x_grad=x_grad, weight_grad=weight_grad)
     for name, got, ref in zip(("y", "x.grad", "weight.grad"),
-                              (nchw(y.data), nchw(xt.grad), wtt.grad), want):
+                              run_conv(conv, geometry, which), want):
         if ref is None:
             assert got is None, name
             continue
@@ -241,3 +263,121 @@ def test_image_blocks_are_even_runs_of_whole_images(case):
 def test_eval_geometries_run_several_blocks(geometry):
     for kernel in KERNELS:
         assert len(ops._image_blocks(*geometry_block_args(kernel, geometry))) > 1, kernel
+
+
+# ---------------------------------------------------------------------------
+# The block pool: both kernels run their blocks and weight-gradient taps on
+# it, and must give the bits they give in one thread.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def pool(monkeypatch):
+    """The block pool, counting its submitted items in ``pool.items``. On one
+    CPU, where conv2d runs no pool, a pool of two threads stands in for it."""
+    real = ops._block_pool()
+    p = real or ThreadPoolExecutor(2)
+    submit = p.submit
+
+    def counting_submit(*args):
+        p.items += 1
+        return submit(*args)
+    monkeypatch.setattr(p, "items", 0, raising=False)
+    monkeypatch.setattr(p, "submit", counting_submit, raising=False)
+    monkeypatch.setattr(ops, "_block_pool", lambda: p)
+    yield p
+    monkeypatch.undo()
+    if real is None:
+        p.shutdown()
+
+
+def pool_workers():
+    return max(2, len(os.sched_getaffinity(0)))
+
+
+@pytest.mark.parametrize("which", sorted(GRADS))
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_block_pool_keeps_every_bit(kernel, geometry, which, pool, monkeypatch):
+    parallel = run_conv(KERNELS[kernel], geometry, which)
+    args = geometry_block_args(kernel, geometry)
+    several = args is not None and len(ops._image_blocks(*args)) > 1
+    kh, kw = GEOMETRIES[geometry][5:7]
+    assert (pool.items > 0) == (several or (kh * kw > 1 and GRADS[which][1]))
+    monkeypatch.setattr(ops, "_block_pool", lambda: None)
+    serial = run_conv(KERNELS[kernel], geometry, which)
+    for name, a, b in zip(("y", "x.grad", "weight.grad"), parallel, serial):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+
+def test_pool_geometries_include_one_block_and_more_blocks_than_workers():
+    counts = {len(ops._image_blocks(*args)) for args in
+              (geometry_block_args(k, g) for k in KERNELS for g in GEOMETRIES)
+              if args is not None}
+    assert 1 in counts and max(counts) > pool_workers(), counts
+
+
+def test_block_pool_has_a_thread_per_cpu_or_is_none():
+    workers = len(os.sched_getaffinity(0))
+    got = ops._block_pool()
+    if workers == 1:
+        assert got is None
+    else:
+        assert isinstance(got, ThreadPoolExecutor) and got._max_workers == workers
+        assert ops._block_pool() is got
+
+
+@pytest.mark.parametrize("threads", ["pool", "serial"])
+def test_each_block_passes_an_item_error_to_the_caller(threads, pool, monkeypatch):
+    if threads == "serial":
+        monkeypatch.setattr(ops, "_block_pool", lambda: None)
+
+    def fn(item):
+        if item == 3:
+            raise KeyError(f"item {item}")
+    with pytest.raises(KeyError, match="item 3"):
+        ops._each_block(fn, range(2 * pool_workers()))
+
+
+def test_each_block_raises_only_after_every_other_item_has_finished(pool):
+    finished = []
+
+    def fn(item):
+        if item == 0:
+            raise KeyError("item 0")
+        time.sleep(0.05)
+        finished.append(item)
+    items = range(2 * pool_workers() + 1)
+    with pytest.raises(KeyError, match="item 0"):
+        ops._each_block(fn, items)
+    assert sorted(finished) == list(items)[1:]
+
+
+def test_each_block_runs_items_under_the_callers_errstate(pool):
+    def fn(item):
+        np.float32(item) / np.float32(0)
+    with np.errstate(divide="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        ops._each_block(fn, range(2 * pool_workers()))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="conv2d runs no pool on one CPU")
+def test_forked_child_runs_a_blocked_conv():
+    x, wt, _ = geometry_inputs("eval_3x3_s1")
+    xt = Tensor(np.ascontiguousarray(x.transpose(1, 0, 2, 3)))
+    ops.conv2d(xt, Tensor(wt))    # the pool's threads are running
+    assert ops._pool is not None
+    pid = os.fork()
+    if pid == 0:    # the child: exit 0 only if its conv returns
+        code = 1
+        try:
+            ops.conv2d(xt, Tensor(wt))
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's conv2d did not return within 60 s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status[1]) == 0

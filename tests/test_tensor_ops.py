@@ -464,6 +464,11 @@ class TestReluAndPooling:
         assert np.allclose(x.grad[0, 0], 0.25)
         assert np.allclose(x.grad[0, 1], 0.5)
 
+    @pytest.mark.parametrize("axis", [1, (2, 3), (1, 3)])
+    def test_gap_over_an_empty_axis_names_it(self, axis):
+        with pytest.raises(ValueError, match=r"mean_over: axis \d of \(2, 0, 4, 0\) is empty"):
+            ops.mean_over(t64(np.zeros((2, 0, 4, 0))), axis)
+
     def test_tmax_t1_identity(self):
         x = t64(np.array([[[1.0, -2.0, 3.0]]]))
         assert np.allclose(ops.temporal_max_pool(x).data[0], [1, -2, 3])
@@ -536,6 +541,11 @@ class TestFcAndLosses:
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(4), labels] -= 1
         assert np.allclose(logits.grad, p / 4)
+
+    @pytest.mark.parametrize("shape, axis", [((0, 3), 0), ((2, 0), 1)])
+    def test_empty_logits_name_the_empty_axis(self, shape, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} of logits .* is empty"):
+            ops.softmax_cross_entropy(t64(np.zeros(shape)), np.zeros(shape[0], int))
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label out of range"):
