@@ -80,13 +80,16 @@ def conv2d(x, weight, stride=1):
     of the image before, where it has no output) and the tap kernel's
     padded gradient. The weight gradient is not blocked: its dot products
     run over all B*H'*W' columns, and blocking them would reorder the
-    sums. A 1x1/1 tap conv copies nothing and stays one product. Block
-    sizes, summed over the convs that ``tests/conv_paths.py`` times with
-    the rule's picks (1 BLAS thread, 2-core AVX-512 Xeon, in two
-    interleaved sweeps): blocks of 1024 to 4096 columns were within 4% of
-    each other on stnet-toy forward plus backward at 64 images, forward
-    at 128 and stnet-resnet50-112 forward at 8; 8192 was 2-6% slower
-    than 4096. 4096 takes the fewest products of those.
+    sums. Every thread that works through the blocks (``_workers``) gets
+    at least one, as long as each block's product stays above
+    ``BLAS_SMALL_PRODUCT`` (below); so a 1x1/1 conv, whose window is its
+    input, is split like any other. Block sizes, summed over the convs
+    that ``tests/conv_paths.py`` times with the rule's picks (1 BLAS
+    thread, 2-core AVX-512 Xeon, in two interleaved sweeps): blocks of
+    1024 to 4096 columns were within 4% of each other on stnet-toy
+    forward plus backward at 64 images, forward at 128 and
+    stnet-resnet50-112 forward at 8; 8192 was 2-6% slower than 4096.
+    4096 takes the fewest products of those.
 
     Why the bits agree: every product has the operands, layouts and
     shape that a per-tap ``np.einsum(..., optimize=True)`` passes to
@@ -105,24 +108,27 @@ def conv2d(x, weight, stride=1):
     gradient, unblocked, is the einsum's product.
 
     The blocks of the forward and of the input gradient, and the weight
-    gradient's taps, run on a pool of threads (``_each_block``), one per
-    CPU of the process's affinity mask: under ``taskset -c 0``, or for a
-    single block or tap, they run in the calling thread. Each block or tap
-    writes only its own slice of the output or gradient, and all have
-    finished before the op returns. The thread count cannot move a bit: a
-    thread runs whole products, each with the operands and shape it has in
-    one thread, and every element still adds its taps in order within one
+    gradient's taps, are taken in turn by the calling thread and a pool of
+    threads (``_each_block``), one thread per CPU of the process's
+    affinity mask in all: under ``taskset -c 0``, or for a single block or
+    tap, the calling thread runs them alone. Each block or tap writes only
+    its own slice of the output or gradient, and all have finished before
+    the op returns. The thread count cannot move a bit: a thread runs
+    whole products, each with the operands and shape it has in one
+    thread, and every element still adds its taps in order within one
     block or tap. Only the core that does the work changes; this is the
     split over output columns that BLAS libraries parallelise (Goto and
     van de Geijn, ACM TOMS 2008). On a 2-core AVX-512 Xeon at 1 BLAS
     thread, two threads took the traced conv2d forward of an
     eval-stnet-toy batch (32 clips) from 132 to 102 ms (1.3x) and the
-    benchmark's eval throughput up 24%; a train step, whose weight
-    gradients' unblocked products leave less to split, read 4% slower.
-    The threads cost 10 MB of peak RSS on eval, 14 MB on train and 20 MB
-    on ResNet-50 inference (4-7%); on eval, 8 MB of it is the worker
-    threads' glibc malloc arenas (233 MB under ``MALLOC_ARENA_MAX=1``,
-    against 241 MB, and 232 MB in one thread).
+    benchmark's eval throughput up 24%. Giving each thread a block of
+    every conv, 1x1/1 convs included, then took the traced conv2d forward
+    of stnet-resnet50-112 inference (2 clips) from 352 to 248 ms, and
+    that workload's throughput up 15%. Since the calling thread works
+    too, the pool holds one thread fewer than the CPUs, and with it one
+    glibc malloc arena fewer (about 8 MB on eval): with one pool thread
+    rather than two, peak RSS fell 8.6 MB on eval, 8.0 MB on train and
+    6.3 MB on ResNet-50 inference.
 
     The rule (``_conv2d_kernel``) reads the shapes alone and is a speed
     choice, never a numerics fork. It picks the shift kernel when the
@@ -210,18 +216,19 @@ def _padded(xd, ph, pw):
     return xp
 
 
-def _image_blocks(images, cols, per_col):
+def _image_blocks(images, cols, per_col, workers):
     """(start, stop) of each run of whole images a conv kernel works through.
 
-    ``cols`` is the kernel's columns per image and ``per_col`` the
-    multiplications per column of its products (O*C). The images are split
-    evenly into consecutive runs of about ``BLOCK_COLS`` columns, each of at
-    least one image, so that no run is a small tail. Runs are made wider
-    until each one's product is above ``BLAS_SMALL_PRODUCT``; a conv too
-    small for two such runs is one run.
+    ``cols`` is the kernel's columns per image, ``per_col`` the
+    multiplications per column of its products (O*C) and ``workers`` the
+    threads that run the blocks. The images are split evenly into
+    consecutive runs of about ``BLOCK_COLS`` columns, each of at least one
+    image, so that no run is a small tail, and into at least one run per
+    worker. Runs are made wider until each one's product is above
+    ``BLAS_SMALL_PRODUCT``; a conv too small for two such runs is one run.
     """
     fewest = BLAS_SMALL_PRODUCT // (per_col * cols) + 1    # images per run
-    n = max(1, min(round(images * cols / BLOCK_COLS), images // fewest))
+    n = max(1, min(max(round(images * cols / BLOCK_COLS), workers), images // fewest))
     return [(images * k // n, images * (k + 1) // n) for k in range(n)]
 
 
@@ -240,36 +247,64 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _block_pool():
-    """The process's block pool, one thread per CPU it may run on; None on one CPU."""
+    """The process's block pool: a thread for each CPU it may run on but the
+    one the caller runs on, which works through the blocks too; None on one
+    CPU."""
     global _pool
     with _pool_lock:
         if _pool is None:
             workers = len(os.sched_getaffinity(0))
             if workers == 1:
                 return None
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="stnet-block")
+            _pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="stnet-block")
         return _pool
 
 
-def _each_block(fn, items):
-    """Run ``fn(item)`` for every item: on the block pool, or in a plain loop
-    when there is one CPU or one item.
+def _workers():
+    """Threads that work through an op's blocks: the pool's and the caller's."""
+    pool = _block_pool()
+    return 1 if pool is None else pool._max_workers + 1
 
-    Each item must write only its own slice of the results. Every item has
-    finished before this returns or re-raises the first item's exception,
-    so no thread writes into an array after the op returns. Each item runs
-    in a copy of the caller's context, so the caller's ``np.errstate``
-    holds in the pool's threads too.
+
+def _each_block(fn, items):
+    """``[fn(item) for item in items]``: the calling thread and the block
+    pool's threads take the items in turn, or the caller runs them in a
+    plain loop when there is one CPU or one item.
+
+    Each item must write only its own slice of the results. Every item runs,
+    and has finished before this returns or re-raises the exception of the
+    first item that failed, so no thread writes into an array after the op
+    returns. The pool's threads run in a copy of the caller's context, so
+    the caller's ``np.errstate`` holds in them too.
     """
     pool = _block_pool() if len(items) > 1 else None
     if pool is None:
-        for item in items:
-            fn(item)
-        return
-    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-    wait(futures)
-    for f in futures:
-        f.result()
+        return [fn(item) for item in items]
+    results, errors = [None] * len(items), [None] * len(items)
+    todo, lock = iter(range(len(items))), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(items[k])
+            except BaseException as exc:    # re-raised by the caller below
+                errors[k] = exc
+    helpers = [pool.submit(contextvars.copy_context().run, work)
+               for _ in range(min(pool._max_workers, len(items) - 1))]
+    try:
+        work()
+    finally:
+        wait(helpers)
+    for h in helpers:
+        h.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _conv2d_taps(x, weight, stride):
@@ -279,9 +314,7 @@ def _conv2d_taps(x, weight, stride):
     ph, pw = kh // 2, kw // 2
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (w + 2 * pw - kw) // stride + 1
-    # A 1x1/1 conv copies nothing: its window is the input, one product.
-    blocks = ([(0, b_)] if kh == kw == stride == 1
-              else _image_blocks(b_, ho * wo, o * c))
+    blocks = _image_blocks(b_, ho * wo, o * c, _workers())
     # Kernel taps in row-major order, each with the rows and columns of the
     # padded input it reads.
     taps = [(i, j, slice(i, i + stride * (ho - 1) + 1, stride),
@@ -344,7 +377,7 @@ def _conv2d_shift(x, weight, stride):
     wo = (w + 2 * pw - kw) // s + 1
     hq, wq = ho + (kh - 1) // s, wo + (kw - 1) // s
     lead = (kh - 1) // s * wq + (kw - 1) // s    # the largest tap offset
-    blocks = _image_blocks(b_, hq * wq, o * c)
+    blocks = _image_blocks(b_, hq * wq, o * c, _workers())
     cuts = {(a, b): (_phase_rows(h, hq, a, s, ph), _phase_rows(w, wq, b, s, pw))
             for a in range(min(s, kh)) for b in range(min(s, kw))}
 
@@ -519,6 +552,20 @@ def _channel_sum(a):
     return np.ascontiguousarray(part.T).sum(axis=0)
 
 
+# The fewest values of a batch norm that split over the block pool, in
+# training (forward and backward) and in inference (one affine map); the
+# measurements are in its docstring.
+BN_POOL_TRAIN = 2 ** 18
+BN_POOL_INFER = 3 * 2 ** 18
+
+
+def _channel_runs(c, workers):
+    """(start, stop) of the even runs of ``c`` channels a batch norm works
+    through: one per worker, each of at least 2 channels."""
+    n = max(1, min(workers, c // 2))
+    return [(c * k // n, c * (k + 1) // n) for k in range(n)]
+
+
 def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
     """Batch normalization of a [C, N, *R] input: C channels, N samples of R values.
 
@@ -541,70 +588,137 @@ def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
     buffer, each step rounded as the out-of-place form, so the training
     input gradient is that of (inv / n) * (n * ga - s1 - xhat * s2), with
     ga = g * alpha, s1 = sum(ga) and s2 = sum(ga * xhat) per channel.
+
+    The forward, in both modes, and the backward work through even runs of
+    channels (``_channel_runs``), one per thread that works through the
+    block pool's items (``_each_block``), when x holds at least
+    ``BN_POOL_TRAIN`` = 2**18 values in training or ``BN_POOL_INFER`` =
+    3 * 2**18 in inference; a smaller x is one run, in the calling thread.
+    A run takes its channels' sums, xhat and output slice, and in the
+    backward its slice of the gradient buffer and its channels' alpha and
+    beta gradients. The calling thread then joins the per-channel vectors,
+    raises on non-finite batch statistics before any running statistic
+    moves, updates the running buffers and calls ``accumulate_grad``. Every
+    value comes from the operations and operands it has in one run, so the
+    thread count cannot move a bit, with one condition: a run holds at
+    least 2 channels. numpy sums the [N, 1] column of a one-channel slice
+    pairwise, not in order of n, and on numpy 2.4.6 that changed the bits
+    of the sum on each of 12 shapes tried; slices of 2 or more channels
+    add in order of n, as the whole array does.
+
+    The floors, from pool time over one-thread time per call, measured
+    inside forward and backward passes on alternating steps (stnet-toy
+    training at 1, 4 and 16 clips and inference at 32; stnet-resnet50 at
+    112x112, inference on 2 clips; 1 BLAS thread, 2-core AVX-512 Xeon):
+
+        values       train fwd   train bwd   infer
+        16K-33K      1.3-1.7     1.3-1.5       -
+        65536        1.0-1.4     1.1-1.3      1.8
+        131072       0.9-1.0     1.1-1.2       -
+        200K-262K    0.6-0.9     0.5-1.0     1.0-1.2
+        401408          -           -        0.9-1.0
+        524288       0.5-0.6     0.6         0.9-1.2
+        802816          -           -        0.7-0.8
+        1M-2M        0.6-0.7     0.6-0.7     0.7-0.9
+
+    An inference call is one affine map, a few memory-bound passes over its
+    values, so it needs more of them than a training call to pay for
+    handing a run to another thread.
     """
     _require(x.ndim >= 2, f"batch_norm input must be [C, N, *R], got {x.shape}")
     c = x.shape[0]
     for name, p in (("alpha", alpha), ("beta", beta),
                     ("running_mean", running_mean), ("running_var", running_var)):
         _require(p.shape == (c,), f"batch_norm {name} must have shape ({c},), got {p.shape}")
-    bshape = (c,) + (1,) * (x.ndim - 1)
+    bshape = (-1,) + (1,) * (x.ndim - 1)    # per-channel values against [c, N, *R]
+    floor = BN_POOL_TRAIN if training else BN_POOL_INFER
+    runs = _channel_runs(c, _workers() if x.size >= floor else 1)
+
+    def finish(yr, add):
+        """Add a run's per-channel ``add`` to its output slice, then the relu."""
+        yr += add.reshape(bshape)
+        if relu:
+            np.maximum(yr, 0, out=yr)
 
     if training:
         _require(x.size > 0, "batch_norm training mode requires a non-empty batch")
         n = x.size // c
-        mu = _channel_sum(x.data) / n
-        xc = x.data - mu.reshape(bshape)
-        var = _channel_sum(xc * xc) / n
+        # Laid out like x, as the out-of-place ops lay out their results.
+        y = np.empty_like(x.data, dtype=np.result_type(x.data, alpha.data))
+
+        def forward_run(run):
+            c0, c1 = run
+            mu = _channel_sum(x.data[c0:c1]) / n
+            xc = x.data[c0:c1] - mu.reshape(bshape)
+            var = _channel_sum(xc * xc) / n
+            inv = 1.0 / np.sqrt(var + BN_EPS)
+            if np.all(np.isfinite(var)):    # else the caller raises and drops y
+                # In place, rounded as the out-of-place forms: xc becomes xhat,
+                # and y = xhat * alpha gets beta added. The backward rebuilds
+                # xhat from x, mu and inv, so the node keeps neither.
+                np.multiply(np.multiply(xc, inv.reshape(bshape), out=xc),
+                            alpha.data[c0:c1].reshape(bshape), out=y[c0:c1])
+                finish(y[c0:c1], beta.data[c0:c1])
+            return mu, var, inv
+        mu, var, inv = (np.concatenate(v) for v in zip(*_each_block(forward_run, runs)))
         if not np.all(np.isfinite(var)):    # also catches a non-finite mean
             raise NumericsError("non-finite batch statistics in op 'batch_norm'")
         running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1 - BN_MOMENTUM) * mu
         running_var.data[...] = BN_MOMENTUM * running_var.data + (1 - BN_MOMENTUM) * var
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        # In place, rounded as the out-of-place forms: xc becomes xhat, and
-        # y = xhat * alpha gets beta added. The backward rebuilds xhat from
-        # x, mu and inv, so the node keeps neither xc nor xhat.
-        y = np.multiply(xc, inv.reshape(bshape), out=xc) * alpha.data.reshape(bshape)
-        y += beta.data.reshape(bshape)
     else:
         inv = 1.0 / np.sqrt(running_var.data + BN_EPS)
         a = alpha.data * inv
         b = beta.data - running_mean.data * a
         # One output buffer, in the dtype the unfolded formula would give.
-        y = np.multiply(x.data, a.reshape(bshape),
-                        dtype=np.result_type(x.data, a, b))
-        y += b.reshape(bshape)
-    if relu:
-        np.maximum(y, 0, out=y)
+        y = np.empty_like(x.data, dtype=np.result_type(x.data, a, b))
+
+        def forward_run(run):
+            c0, c1 = run
+            np.multiply(x.data[c0:c1], a[c0:c1].reshape(bshape), out=y[c0:c1],
+                        dtype=y.dtype)
+            finish(y[c0:c1], b[c0:c1])
+        _each_block(forward_run, runs)
 
     def backward(g):
         # ``g`` is this node's own gradient buffer (``accumulate_grad`` copies
-        # the first gradient), so it is worked on in place; every in-place
-        # step rounds as the out-of-place form it stands for.
-        if relu:
-            np.multiply(g, y > 0, out=g)
-        if training:
-            xhat = np.subtract(x.data, mu.reshape(bshape))
-            xhat *= inv.reshape(bshape)
-        if alpha.requires_grad:
-            xh = xhat if training else \
-                (x.data - running_mean.data.reshape(bshape)) * inv.reshape(bshape)
-            alpha.accumulate_grad(_channel_sum(g * xh))
-        if beta.requires_grad:
-            beta.accumulate_grad(_channel_sum(g))
-        if x.requires_grad:
-            ga = np.multiply(g, alpha.data.reshape(bshape), out=g)
+        # the first gradient), so each run works on its slice in place; every
+        # in-place step rounds as the out-of-place form it stands for.
+        def backward_run(run):
+            c0, c1 = run
+            gr, xr = g[c0:c1], x.data[c0:c1]
+            inv_r = inv[c0:c1].reshape(bshape)
+            if relu:
+                np.multiply(gr, y[c0:c1] > 0, out=gr)
             if training:
-                # gx = (inv / n) * (n * ga - s1 - xhat * s2)
-                s1 = _channel_sum(ga).reshape(bshape)
-                s2 = _channel_sum(ga * xhat).reshape(bshape)
-                ga *= n
-                ga -= s1
-                # xhat's buffer takes xhat * s2 unless alpha is the wider dtype.
-                ga -= np.multiply(xhat, s2, out=xhat if xhat.dtype == ga.dtype else None)
-                ga *= inv.reshape(bshape) / n
-            else:
-                ga *= inv.reshape(bshape)
-            x.accumulate_grad(ga)
+                xhat = np.subtract(xr, mu[c0:c1].reshape(bshape))
+                xhat *= inv_r
+            sums = []
+            if alpha.requires_grad:
+                xh = xhat if training else \
+                    (xr - running_mean.data[c0:c1].reshape(bshape)) * inv_r
+                sums.append(_channel_sum(gr * xh))
+            if beta.requires_grad:
+                sums.append(_channel_sum(gr))
+            if x.requires_grad:
+                ga = np.multiply(gr, alpha.data[c0:c1].reshape(bshape), out=gr)
+                if training:
+                    # gx = (inv / n) * (n * ga - s1 - xhat * s2)
+                    s1 = _channel_sum(ga).reshape(bshape)
+                    s2 = _channel_sum(ga * xhat).reshape(bshape)
+                    ga *= n
+                    ga -= s1
+                    # xhat's buffer takes xhat * s2 unless alpha is the wider dtype.
+                    ga -= np.multiply(xhat, s2, out=xhat if xhat.dtype == ga.dtype else None)
+                    ga *= inv_r / n
+                else:
+                    ga *= inv_r
+            return sums
+        sums = (np.concatenate(v) for v in zip(*_each_block(backward_run, runs)))
+        for p in (alpha, beta):
+            if p.requires_grad:
+                p.accumulate_grad(next(sums))
+        if x.requires_grad:
+            x.accumulate_grad(g)
     return make_node(y, (x, alpha, beta), "batch_norm", backward)
 
 

@@ -14,8 +14,9 @@ gradient and running statistic of a train-mode loss.
 Prints one digest per part and one over all of them. Run it on two
 checkouts with the same numpy and the same BLAS thread count: equal
 digests mean the change moved none of these bits, so it cannot change
-acceptance item c09 by float rounding. ``conv2d`` runs its blocks on one
-thread per CPU the process may use, so compare the digest under
+acceptance item c09 by float rounding. ``conv2d`` and ``batch_norm`` run
+their image blocks and channel runs on one thread per CPU the process
+may use, so compare the digest under
 ``taskset -c 0 python3 tests/bitcheck.py`` as well: it must not depend
 on the thread count either. Takes about half a minute on one core. The
 file name keeps it out of pytest collection.

@@ -86,12 +86,12 @@ def conv_inputs(spec, images):
     return out
 
 
-def blocks(kernel, images, c, o, kh, kw, stride, ho, wo):
+def blocks(kernel, images, c, o, kh, kw, stride, ho, wo, threads):
     """(count, columns of the widest) of the image blocks ``kernel`` works through."""
     args = block_args(kernel, images, c, o, kh, kw, stride, ho, wo)
-    if args is None:    # one product
-        return 1, images * ho * wo
-    runs = ops._image_blocks(*args)
+    # A tree before the block-per-thread floor splits by columns alone.
+    runs = ops._image_blocks(*args, threads) if hasattr(ops, "_workers") else \
+        ops._image_blocks(*args)
     return len(runs), max(b1 - b0 for b0, b1 in runs) * args[1]
 
 
@@ -135,7 +135,7 @@ def time_one(case, index, reps):
             "same": all((a is None and b is None) or a.tobytes() == b.tobytes()
                         for a, b in zip(outs["taps"], outs["shift"])),
             "rule": next(n for n, kern in KERNELS.items() if kern is pick),
-            "blocks": blocks(pick, b, c, o, kh, kw, stride, ho, wo),
+            "blocks": blocks(pick, b, c, o, kh, kw, stride, ho, wo, threads),
             "threads": threads}
 
 

@@ -221,12 +221,11 @@ def test_rule_picks_per_conv_plan(case):
 
 def block_args(kernel, images, c, o, kh, kw, stride, ho, wo):
     """(images, columns per image, multiplications per column) that ``kernel``
-    passes to ``ops._image_blocks``; None for a 1x1/1 tap conv, which is one
-    product. The shift kernel's columns are its grid's, the tap kernel's the
-    output's."""
+    passes to ``ops._image_blocks``. The shift kernel's columns are its grid's,
+    the tap kernel's the output's."""
     if kernel is ops._conv2d_shift:
         return images, (ho + (kh - 1) // stride) * (wo + (kw - 1) // stride), o * c
-    return None if kh == kw == stride == 1 else (images, ho * wo, o * c)
+    return images, ho * wo, o * c
 
 
 def geometry_block_args(kernel, geometry):
@@ -234,8 +233,7 @@ def geometry_block_args(kernel, geometry):
     return block_args(KERNELS[kernel], b_, c, o, kh, kw, s, *out_size(geometry))
 
 
-BLOCK_CASES = {f"{k}-{g}": geometry_block_args(k, g) for k in KERNELS for g in GEOMETRIES
-               if geometry_block_args(k, g) is not None}
+BLOCK_CASES = {f"{k}-{g}": geometry_block_args(k, g) for k in KERNELS for g in GEOMETRIES}
 BLOCK_CASES.update({
     "one_image": (1, 34 * 34, 16 * 9),
     "one_small_image": (1, 8 * 8, 3 * 16),
@@ -248,47 +246,41 @@ BLOCK_CASES.update({
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_image_blocks_are_even_runs_of_whole_images(case):
     images, cols, per_col = BLOCK_CASES[case]
-    blocks = ops._image_blocks(images, cols, per_col)
-    assert blocks[0][0] == 0 and blocks[-1][1] == images
-    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-    sizes = [b1 - b0 for b0, b1 in blocks]
-    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1, sizes
-    if len(blocks) > 1:
-        assert per_col * cols * min(sizes) > ops.BLAS_SMALL_PRODUCT
-    if cols >= ops.BLOCK_COLS and per_col * cols > ops.BLAS_SMALL_PRODUCT:
-        assert sizes == [1] * images
+    for workers in (1, 2, 3, 8):
+        blocks = ops._image_blocks(images, cols, per_col, workers)
+        assert blocks[0][0] == 0 and blocks[-1][1] == images
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [b1 - b0 for b0, b1 in blocks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1, (workers, sizes)
+        if len(blocks) > 1:
+            assert per_col * cols * min(sizes) > ops.BLAS_SMALL_PRODUCT
+        if cols >= ops.BLOCK_COLS and per_col * cols > ops.BLAS_SMALL_PRODUCT:
+            assert sizes == [1] * images
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_image_blocks_give_every_worker_a_block(case):
+    # As many blocks as workers, unless that would take a block's product
+    # down to BLAS's small size, and never fewer than by columns alone.
+    images, cols, per_col = BLOCK_CASES[case]
+    fewest = ops.BLAS_SMALL_PRODUCT // (per_col * cols) + 1    # images per block
+    by_cols = len(ops._image_blocks(images, cols, per_col, 1))
+    for workers in (2, 3, 8):
+        got = len(ops._image_blocks(images, cols, per_col, workers))
+        assert got >= max(by_cols, min(workers, images // fewest)), workers
 
 
 @pytest.mark.parametrize("geometry", sorted(g for g in GEOMETRIES if g.startswith("eval_")))
 def test_eval_geometries_run_several_blocks(geometry):
+    # By their columns alone, in one thread.
     for kernel in KERNELS:
-        assert len(ops._image_blocks(*geometry_block_args(kernel, geometry))) > 1, kernel
+        assert len(ops._image_blocks(*geometry_block_args(kernel, geometry), 1)) > 1, kernel
 
 
 # ---------------------------------------------------------------------------
 # The block pool: both kernels run their blocks and weight-gradient taps on
 # it, and must give the bits they give in one thread.
 # ---------------------------------------------------------------------------
-
-@pytest.fixture
-def pool(monkeypatch):
-    """The block pool, counting its submitted items in ``pool.items``. On one
-    CPU, where conv2d runs no pool, a pool of two threads stands in for it."""
-    real = ops._block_pool()
-    p = real or ThreadPoolExecutor(2)
-    submit = p.submit
-
-    def counting_submit(*args):
-        p.items += 1
-        return submit(*args)
-    monkeypatch.setattr(p, "items", 0, raising=False)
-    monkeypatch.setattr(p, "submit", counting_submit, raising=False)
-    monkeypatch.setattr(ops, "_block_pool", lambda: p)
-    yield p
-    monkeypatch.undo()
-    if real is None:
-        p.shutdown()
-
 
 def pool_workers():
     return max(2, len(os.sched_getaffinity(0)))
@@ -299,8 +291,7 @@ def pool_workers():
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_block_pool_keeps_every_bit(kernel, geometry, which, pool, monkeypatch):
     parallel = run_conv(KERNELS[kernel], geometry, which)
-    args = geometry_block_args(kernel, geometry)
-    several = args is not None and len(ops._image_blocks(*args)) > 1
+    several = len(ops._image_blocks(*geometry_block_args(kernel, geometry), ops._workers())) > 1
     kh, kw = GEOMETRIES[geometry][5:7]
     assert (pool.items > 0) == (several or (kh * kw > 1 and GRADS[which][1]))
     monkeypatch.setattr(ops, "_block_pool", lambda: None)
@@ -310,19 +301,21 @@ def test_block_pool_keeps_every_bit(kernel, geometry, which, pool, monkeypatch):
 
 
 def test_pool_geometries_include_one_block_and_more_blocks_than_workers():
-    counts = {len(ops._image_blocks(*args)) for args in
-              (geometry_block_args(k, g) for k in KERNELS for g in GEOMETRIES)
-              if args is not None}
+    counts = {len(ops._image_blocks(*geometry_block_args(k, g), pool_workers()))
+              for k in KERNELS for g in GEOMETRIES}
     assert 1 in counts and max(counts) > pool_workers(), counts
 
 
 def test_block_pool_has_a_thread_per_cpu_or_is_none():
+    # The caller works through the blocks too: with the pool's threads, one
+    # thread per CPU.
     workers = len(os.sched_getaffinity(0))
     got = ops._block_pool()
+    assert ops._workers() == workers
     if workers == 1:
         assert got is None
     else:
-        assert isinstance(got, ThreadPoolExecutor) and got._max_workers == workers
+        assert isinstance(got, ThreadPoolExecutor) and got._max_workers == workers - 1
         assert ops._block_pool() is got
 
 
@@ -350,6 +343,19 @@ def test_each_block_raises_only_after_every_other_item_has_finished(pool):
     with pytest.raises(KeyError, match="item 0"):
         ops._each_block(fn, items)
     assert sorted(finished) == list(items)[1:]
+    # The thread whose item fails runs out of items while another thread
+    # still works on a slow one: the error waits for it.
+    finished.clear()
+
+    def fail_first(item):
+        if item == 0:
+            time.sleep(0.02)
+            raise KeyError("item 0")
+        time.sleep(0.2)
+        finished.append(item)
+    with pytest.raises(KeyError, match="item 0"):
+        ops._each_block(fail_first, [0, 1])
+    assert finished == [1]
 
 
 def test_each_block_runs_items_under_the_callers_errstate(pool):
