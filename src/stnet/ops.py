@@ -56,13 +56,14 @@ def conv2d(x, weight, stride=1):
         weight grad  gW[:, :, i, j]    = (x_tap @ g[B*H'*W', O]).T
 
     g_grid is the output gradient zero-padded onto the grid, and the
-    phase gradients are written back to the input's positions. The weight
-    gradient copies each tap's window x_tap out in both kernels: over the
-    grid its dot products would run over more terms, in another order.
-    Neither kernel keeps its padded input or phases for the backward: when
-    the weight needs a gradient, the backward builds them from the input
-    for the whole batch, once, with the forward's own operations; the
-    input gradient needs only their shapes.
+    phase gradients are written back to the input's positions. Both
+    kernels take the weight gradient from one function,
+    ``_conv2d_weight_grad``, which copies each tap's window x_tap out:
+    over the grid its dot products would run over more terms, in another
+    order. Neither kernel keeps its padded input or phases for the
+    backward, and neither builds them again: each weight-gradient tap fills
+    its own window straight from the input, with zeros where it reads
+    padding, and the input gradient needs only their shapes.
 
     Both kernels work through the B images in blocks of b whole images
     (``_image_blocks``), so that a block's products, grid or window
@@ -107,28 +108,29 @@ def conv2d(x, weight, stride=1):
     only on convs whose whole product is above it, and the weight
     gradient, unblocked, is the einsum's product.
 
-    The blocks of the forward and of the input gradient, and the weight
-    gradient's taps, are taken in turn by the calling thread and a pool of
-    threads (``_each_block``), one thread per CPU of the process's
+    The blocks of the forward and of the input gradient, the weight
+    gradient's taps, and the transpose of g that they read (in the rows of
+    the image blocks), are taken in turn by the calling thread and a pool
+    of threads (``_each_block``), one thread per CPU of the process's
     affinity mask in all: under ``taskset -c 0``, or for a single block or
     tap, the calling thread runs them alone. Each block or tap writes only
-    its own slice of the output or gradient, and all have finished before
-    the op returns. The thread count cannot move a bit: a thread runs
-    whole products, each with the operands and shape it has in one
-    thread, and every element still adds its taps in order within one
-    block or tap. Only the core that does the work changes; this is the
-    split over output columns that BLAS libraries parallelise (Goto and
-    van de Geijn, ACM TOMS 2008). On a 2-core AVX-512 Xeon at 1 BLAS
-    thread, two threads took the traced conv2d forward of an
-    eval-stnet-toy batch (32 clips) from 132 to 102 ms (1.3x) and the
-    benchmark's eval throughput up 24%. Giving each thread a block of
-    every conv, 1x1/1 convs included, then took the traced conv2d forward
-    of stnet-resnet50-112 inference (2 clips) from 352 to 248 ms, and
-    that workload's throughput up 15%. Since the calling thread works
-    too, the pool holds one thread fewer than the CPUs, and with it one
-    glibc malloc arena fewer (about 8 MB on eval): with one pool thread
-    rather than two, peak RSS fell 8.6 MB on eval, 8.0 MB on train and
-    6.3 MB on ResNet-50 inference.
+    its own slice of the output, gradient or transpose, and all have
+    finished before the op returns (the transpose, before any tap starts).
+    The thread count cannot move a bit: a thread runs whole products, each
+    with the operands and shape it has in one thread, and every element
+    still adds its taps in order within one block or tap. Only the core
+    that does the work changes; this is the split over output columns that
+    BLAS libraries parallelise (Goto and van de Geijn, ACM TOMS 2008). On
+    a 2-core AVX-512 Xeon at 1 BLAS thread, two threads took the traced
+    conv2d forward of an eval-stnet-toy batch (32 clips) from 132 to 102
+    ms (1.3x) and the benchmark's eval throughput up 24%. Giving each
+    thread a block of every conv, 1x1/1 convs included, then took the
+    traced conv2d forward of stnet-resnet50-112 inference (2 clips) from
+    352 to 248 ms, and that workload's throughput up 15%. Since the
+    calling thread works too, the pool holds one thread fewer than the
+    CPUs, and with it one glibc malloc arena fewer (about 8 MB on eval):
+    with one pool thread rather than two, peak RSS fell 8.6 MB on eval,
+    8.0 MB on train and 6.3 MB on ResNet-50 inference.
 
     The rule (``_conv2d_kernel``) reads the shapes alone and is a speed
     choice, never a numerics fork. It picks the shift kernel when the
@@ -332,15 +334,7 @@ def _conv2d_taps(x, weight, stride):
 
     def backward(g):
         if weight.requires_grad:
-            xp = _padded(x.data, ph, pw)    # rebuilt: the graph keeps no padded copy
-            g_l = np.ascontiguousarray(g.reshape(o, -1).T)
-            gw = np.empty(weight.shape, g.dtype)    # every tap slice is written once
-
-            def weight_tap(tap):
-                i, j, hs, ws = tap
-                gw[:, :, i, j] = (xp[:, :, hs, ws].reshape(c, -1) @ g_l).T
-            _each_block(weight_tap, taps)
-            weight.accumulate_grad(gw)
+            weight.accumulate_grad(_conv2d_weight_grad(x.data, weight.shape, stride, g, blocks))
         if x.requires_grad:
             gxc = np.zeros((c, b_, h + 2 * ph, w + 2 * pw), x.dtype)
 
@@ -351,7 +345,8 @@ def _conv2d_taps(x, weight, stride):
                     gxc[:, b0:b1, hs, ws] += (weight.data[:, :, i, j].T @ gb).reshape(
                         c, b1 - b0, ho, wo)
             _each_block(input_block, blocks)
-            x.accumulate_grad(gxc[:, :, ph:ph + h, pw:pw + w])
+            # Unpadded, gxc is the gradient itself, and nothing else holds it.
+            x.accumulate_grad(gxc[:, :, ph:ph + h, pw:pw + w], owned=not (ph or pw))
     return make_node(y.reshape(o, b_, ho, wo), (x, weight), "conv2d", backward)
 
 
@@ -365,6 +360,60 @@ def _phase_rows(n, q, phase, stride, padding):
     r1 = max(r0, min(q, -(-(n + padding - phase) // stride)))
     i0 = phase + stride * r0 - padding
     return slice(r0, r1), slice(i0, i0 + stride * (r1 - r0), stride)
+
+
+def _conv2d_weight_grad(xd, wshape, stride, g, blocks):
+    """conv2d's [O, C, kh, kw] weight gradient from its [C, B, H, W] input
+    ``xd`` and [O, B, H', W'] output gradient ``g``, for both kernels.
+
+    Tap (i, j)'s slice is (x_tap @ g_l).T: x_tap is the tap's C-ordered
+    [C, B*H'*W'] window of the zero-padded input and g_l the C-ordered
+    [B*H'*W', O] transpose of g, one unblocked product, the per-tap
+    einsum's. The transpose is written in the rows of the conv's image
+    ``blocks``, then each tap fills its own window straight from the input
+    (its rows and columns that hold input, with ``_phase_rows``, and zeros
+    on the border that is padding) and takes its product; both loops run
+    on the block pool. A tap that reads no padding takes its window as a
+    reshape of the input's slice, a view when that is C-ordered already.
+
+    The kernels pass the result to ``accumulate_grad`` to be copied, not
+    handed over: a parameter's gradient lives into the next step, where it
+    sits in the heap decides how much of the step's freed activations
+    glibc returns to the system. Handed over, every forward of a stnet-toy
+    train step at batch 16 faulted about 40 MB back in (10,345 minor page
+    faults a step) and took 56 rather than 44 ms; with the copy only some
+    steps do.
+    """
+    c, b_, h, w = xd.shape
+    o, _, kh, kw = wshape
+    ho, wo = g.shape[2:]
+    g2 = g.reshape(o, -1)
+    g_l = np.empty(g2.shape[::-1], g.dtype)
+
+    def transpose_block(block):
+        r0, r1 = (b * ho * wo for b in block)
+        g_l[r0:r1] = g2[:, r0:r1].T
+    _each_block(transpose_block, blocks)
+    gw = np.empty(wshape, g.dtype)    # every tap slice is written once
+
+    def weight_tap(tap):
+        i, j = tap
+        (wr, xr), (wc, xc) = (_phase_rows(h, ho, i, stride, kh // 2),
+                              _phase_rows(w, wo, j, stride, kw // 2))
+        inside = xd[:, :, xr, xc]
+        if inside.shape[2:] == (ho, wo):
+            win = inside.reshape(c, -1)
+        else:
+            win = np.empty((c, b_, ho, wo), xd.dtype)
+            win[:, :, :wr.start] = 0
+            win[:, :, wr.stop:] = 0
+            win[:, :, wr, :wc.start] = 0
+            win[:, :, wr, wc.stop:] = 0
+            win[:, :, wr, wc] = inside
+            win = win.reshape(c, -1)
+        gw[:, :, i, j] = (win @ g_l).T
+    _each_block(weight_tap, [(i, j) for i in range(kh) for j in range(kw)])
+    return gw
 
 
 def _conv2d_shift(x, weight, stride):
@@ -414,17 +463,7 @@ def _conv2d_shift(x, weight, stride):
 
     def backward(g):
         if weight.requires_grad:
-            phases = stride_phases(0, b_)    # the graph keeps no phase copies
-            g_l = np.ascontiguousarray(g.reshape(o, -1).T)
-            gw = np.empty(weight.shape, g.dtype)    # every tap slice is written once
-
-            def weight_tap(tap):
-                i, j, ab, _ = tap
-                win = phases[ab][:, :b_ * hq * wq].reshape(c, b_, hq, wq)[
-                    :, :, i // s:i // s + ho, j // s:j // s + wo]
-                gw[:, :, i, j] = (win.reshape(c, -1) @ g_l).T
-            _each_block(weight_tap, taps)
-            weight.accumulate_grad(gw)
+            weight.accumulate_grad(_conv2d_weight_grad(x.data, weight.shape, s, g, blocks))
         if x.requires_grad:
             # At stride 1 every input position is in the one phase; a larger
             # stride may skip some, whose gradient is 0.
@@ -448,7 +487,7 @@ def _conv2d_shift(x, weight, stride):
                     gx[:, b0:b1, xr, xcol] = gphase[ab].reshape(
                         c, b1 - b0, hq, wq)[:, :, pr, pc]
             _each_block(input_block, blocks)
-            x.accumulate_grad(gx)
+            x.accumulate_grad(gx, owned=True)
     return make_node(y, (x, weight), "conv2d", backward)
 
 
@@ -680,9 +719,11 @@ def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
         _each_block(forward_run, runs)
 
     def backward(g):
-        # ``g`` is this node's own gradient buffer (``accumulate_grad`` copies
-        # the first gradient), so each run works on its slice in place; every
-        # in-place step rounds as the out-of-place form it stands for.
+        # ``g`` is this node's own gradient buffer, which no other array or
+        # tensor reads (``accumulate_grad`` copies a first gradient that is
+        # not handed over), so each run works on its slice in place, and x
+        # takes the buffer; every in-place step rounds as the out-of-place
+        # form it stands for.
         def backward_run(run):
             c0, c1 = run
             gr, xr = g[c0:c1], x.data[c0:c1]
@@ -718,7 +759,7 @@ def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
             if p.requires_grad:
                 p.accumulate_grad(next(sums))
         if x.requires_grad:
-            x.accumulate_grad(g)
+            x.accumulate_grad(g, owned=True)
     return make_node(y, (x, alpha, beta), "batch_norm", backward)
 
 
@@ -731,7 +772,7 @@ def relu(x):
     y = np.maximum(x.data, 0)
 
     def backward(g):    # g is the node's own gradient buffer
-        x.accumulate_grad(np.multiply(g, y > 0, out=g))
+        x.accumulate_grad(np.multiply(g, y > 0, out=g), owned=True)
     return make_node(y, (x,), "relu", backward)
 
 

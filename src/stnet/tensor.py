@@ -77,15 +77,27 @@ class Tensor:
         t._backward = None
         return t
 
-    def accumulate_grad(self, g):
+    def accumulate_grad(self, g, owned=False):
         """Add ``g`` to this tensor's gradient.
 
         The first gradient is copied into a buffer laid out like ``data``
         (a ``-0.0`` stays ``-0.0``); later ones are added to it in place.
+        ``owned`` says that no other array or tensor will read or write
+        ``g`` again: a backward closure passes it for a buffer it has just
+        made, or for its own node's gradient, which ``backward`` drops once
+        the closure has run. An owned first gradient becomes the gradient
+        itself, with no copy, when that copy would have the same dtype,
+        shape and C-ordered layout: both ``g`` and ``data`` C-contiguous.
+        Any other first gradient is copied, so the gradient of a leaf that
+        is a transposed view still takes the leaf's strides.
         """
         if self.grad is None:
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g
+            if (owned and g.dtype == self.data.dtype and g.shape == self.data.shape
+                    and g.flags.c_contiguous and self.data.flags.c_contiguous):
+                self.grad = g
+            else:
+                self.grad = np.empty_like(self.data)
+                self.grad[...] = g
         else:
             self.grad += g
 
@@ -145,8 +157,8 @@ class Tensor:
     def reshape(self, shape):
         src_shape = self.data.shape
 
-        def backward(g):
-            self.accumulate_grad(g.reshape(src_shape))
+        def backward(g):    # g is the node's own gradient buffer
+            self.accumulate_grad(g.reshape(src_shape), owned=True)
         return make_node(self.data.reshape(shape), (self,), "reshape", backward)
 
     def transpose(self, axes):
@@ -165,10 +177,12 @@ class Tensor:
                 f"add shape mismatch: {self.data.shape} vs {other.data.shape}")
 
         def backward(g):
+            # g, the node's own gradient buffer, goes to one parent at most:
+            # the first takes a copy, so ``x + x`` adds g to that copy.
             if self.requires_grad:
                 self.accumulate_grad(g)
             if other.requires_grad:
-                other.accumulate_grad(g)
+                other.accumulate_grad(g, owned=True)
         return make_node(self.data + other.data, (self, other), "add", backward)
 
 

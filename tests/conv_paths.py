@@ -7,10 +7,14 @@ and of ``stnet-resnet50`` at 112x112, T=4 (infer at 2 clips), that is at
 the batch of each benchmark workload, and for every TM conv, run as
 ``ops.conv2d`` runs it (a (3, 1) kernel on [C, B, T, H*W]), it runs
 ``ops._conv2d_taps`` and ``ops._conv2d_shift`` on the same random input:
-forward plus backward for train, forward only for infer. Each conv is
-timed in a ``python3`` process of its own, so that no conv's time
-depends on what ran before it (the heap's layout and glibc's mmap
-threshold moved per-conv times by up to 40% within one process). Each
+forward plus backward for train, forward only for infer. For train it
+also times the backward of the kernel that the rule picks with only the
+weight needing a gradient, then with only the input (which the first
+conv never needs), so that the weight-gradient and input-gradient times
+read apart. Each conv is timed in a ``python3`` process of its own, so
+that no conv's time depends on what ran before it (the heap's layout and
+glibc's mmap threshold moved per-conv times by up to 40% within one
+process). Each
 kernel's time is the best of ``--reps`` alternating runs, after one
 untimed run of each. It prints both times, the faster kernel, the
 kernel that ``ops.conv2d``'s rule picks, the image blocks the picked
@@ -24,8 +28,9 @@ there.
 ``--against PATH`` also runs every conv with the ``stnet`` of the
 checkout at PATH (its ``src``), in its own process right after or right
 before this tree's (alternating), and prints the time of the kernel
-each tree's rule picks and their ratio: two commits compared conv by
-conv. The file name keeps it out of pytest collection.
+each tree's rule picks and their ratio, and for train its
+weight-gradient and input-gradient times and their ratios: two commits
+compared conv by conv. The file name keeps it out of pytest collection.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from test_conv2d_exact import block_args
 
 KERNELS = {"taps": ops._conv2d_taps, "shift": ops._conv2d_shift}
 TIE = 0.03      # kernels within 3% of each other are a tie
+PARTS = ("wgrad", "xgrad")      # backward times of a train row, apart
 
 # (label, spec, images per batch (clips x T), train). The batches are
 # those of the benchmark workloads.
@@ -106,9 +112,20 @@ def run(kernel, x, wt, g, stride):
     return perf_counter() - t0, [y.data, x.grad, wt.grad]
 
 
+def backward_s(kernel, x, wt, g, stride):
+    """Seconds of the backward alone of one call."""
+    y = kernel(x, wt, stride)
+    t0 = perf_counter()
+    y.backward(g)
+    return perf_counter() - t0
+
+
 def time_one(case, index, reps):
     """Time both kernels on conv ``index`` of ``CASES[case]``: a dict of its
-    best times, bits, the rule's pick, its blocks and the threads that run them."""
+    best times, bits, the rule's pick, its blocks and the threads that run
+    them; for train also the best backward times of the pick with only the
+    weight (``wgrad``) and only the input (``xgrad``, None for the first
+    conv) needing a gradient."""
     _, spec, images, train = CASES[case]
     _, x_shape, w_shape, stride, first = conv_inputs(spec, images)[index]
     c, b, h, w = x_shape
@@ -129,6 +146,19 @@ def time_one(case, index, reps):
             if rep:
                 best[name] = min(best[name], dt)
     pick = ops._conv2d_kernel(b, c, o, kh, kw, stride, ho, wo)
+    parts = {}
+    if train:
+        parts = {"wgrad": (Tensor(x.data), Tensor(wt.data, requires_grad=True))}
+        if not first:
+            parts["xgrad"] = (Tensor(x.data, requires_grad=True), Tensor(wt.data))
+    bwd = dict.fromkeys(parts, float("inf"))
+    for rep in range(reps + 1):
+        for name, (xp, wp) in parts.items():
+            xp.zero_grad()
+            wp.zero_grad()
+            dt = backward_s(pick, xp, wp, g, stride)
+            if rep:
+                bwd[name] = min(bwd[name], dt)
     # A tree without the block pool runs its blocks in the calling thread.
     threads = len(os.sched_getaffinity(0)) if hasattr(ops, "_each_block") else 1
     return {"ms": {k: v * 1e3 for k, v in best.items()},
@@ -136,7 +166,9 @@ def time_one(case, index, reps):
                         for a, b in zip(outs["taps"], outs["shift"])),
             "rule": next(n for n, kern in KERNELS.items() if kern is pick),
             "blocks": blocks(pick, b, c, o, kh, kw, stride, ho, wo, threads),
-            "threads": threads}
+            "threads": threads,
+            **{name: bwd[name] * 1e3 if name in bwd else None
+               for name in ("wgrad", "xgrad")}}
 
 
 def timed_in_process(src, case, index, reps):
@@ -163,13 +195,15 @@ def main():
     if args.against:
         trees.append(args.against.resolve() / "src")
     vs = f" {'vs ms':>8} {'ratio':>6}" if args.against else ""
-    for case, (label, spec, images, _) in enumerate(CASES):
+    for case, (label, spec, images, train) in enumerate(CASES):
+        parts = PARTS if train else ()
         print(f"# {label}, {images} images")
         print(f"{'layer':<24} {'C->O':>10} {'k/s':>4} {'HxW':>7} {'taps ms':>8} "
               f"{'shift ms':>8} {'faster':>6} {'rule':>6} {'blocks':>9} {'threads':>7}"
-              f"{vs} bits", flush=True)
+              f"{vs}{''.join(f' {p:>8}{vs}' for p in parts)} bits", flush=True)
         totals = dict.fromkeys(KERNELS, 0.0)
         picked = [0.0, 0.0]
+        part_totals = {p: [0.0, 0.0] for p in parts}
         for index, (conv, x_shape, w_shape, stride, _) in enumerate(conv_inputs(spec, images)):
             order = trees if index % 2 == 0 else trees[::-1]
             got = {src: timed_in_process(src, case, index, args.reps) for src in order}
@@ -182,6 +216,8 @@ def main():
                 totals[name] += best[name]
             for i, src in enumerate(trees):
                 picked[i] += got[src]["ms"][got[src]["rule"]]
+                for p in parts:
+                    part_totals[p][i] += got[src][p] or 0.0
             c, _, h, w = x_shape
             o, _, kh, kw = w_shape
             k = f"{kh}/{stride}" if kh == kw else f"{kh}x{kw}"
@@ -192,6 +228,13 @@ def main():
             if args.against:
                 this, other = (got[src]["ms"][got[src]["rule"]] for src in trees)
                 row += f" {other:8.2f} {this / other:6.2f}"
+            for p in parts:
+                ms = [got[src][p] for src in trees]
+                if ms[0] is None:
+                    row += f" {'-':>8}" + (f" {'-':>8} {'-':>6}" if args.against else "")
+                else:
+                    row += f" {ms[0]:8.2f}" + (f" {ms[1]:8.2f} {ms[0] / ms[1]:6.2f}"
+                                               if args.against else "")
             print(f"{row} {'equal' if res['same'] else 'DIFFER'}"
                   f"{'' if faster in (res['rule'], 'tie') else '  <<'}", flush=True)
         total = (f"{'total':<24} {'':>10} {'':>4} {'':>7} "
@@ -199,6 +242,10 @@ def main():
         if args.against:
             total += (f"   picked: {picked[0]:.2f} ms here, {picked[1]:.2f} ms against, "
                       f"ratio {picked[0] / picked[1]:.3f}")
+        for p, (here, there) in part_totals.items():
+            total += f"   {p}: {here:.2f} ms"
+            if args.against:
+                total += f" here, {there:.2f} ms against, ratio {here / there:.3f}"
         print(total)
 
 

@@ -6,7 +6,8 @@ Runs one train-mode step of ``stnet-toy`` at batch 16 (the benchmark's
 train workload) and of ``stnet-resnet50`` at T=2, 64x64 on two clips, and
 one infer-mode forward of ``stnet-toy`` at batch 32 on detached
 parameters, as ``training.evaluate`` runs it (the benchmark's eval
-workload), each after one warm-up run, and prints for each:
+workload), each after one warm-up run, and prints for each, in MB to
+4 decimals (a few KB, such as a closure's list of channel runs, show):
 
 - held: MB the forward allocated and still holds when it returns, that is
   the graph's activations and whatever the backward closures keep;
@@ -111,8 +112,8 @@ def main():
                 t.zero_grad()
         held, fwd_peak, peak, by_op = step_memory(m, batch, labels)
         ops_held = "  ".join(f"{op} {b / MB:.2f}" for op, b in by_op.most_common())
-        print(f"{name:<20} held {held:6.1f} MB  fwd peak {fwd_peak:6.1f} MB  peak "
-              f"{'     -' if peak is None else f'{peak:6.1f}'} MB  "
+        print(f"{name:<20} held {held:9.4f} MB  fwd peak {fwd_peak:9.4f} MB  peak "
+              f"{'        -' if peak is None else f'{peak:9.4f}'} MB  "
               f"closures {sum(by_op.values()) / MB:5.1f} MB: {ops_held or '-'}", flush=True)
 
 

@@ -66,7 +66,11 @@ def einsum_conv2d(x, weight, stride, g, x_grad=True, weight_grad=True):
 # 4-clip batch, and 64 channels on a 7x7 output. The last four reach the
 # shift kernel's edge cases: an odd padded extent at stride 2 (15x15
 # input, padding 1), stride 3 (nine phases, one tap each), and a 1x1/2
-# that reads one phase of an odd-sized input. The last six run at the
+# that reads one phase of an odd-sized input. The next two have taps whose
+# weight-gradient window reads padding alone: a 3x3/2 on a 2x2 input (its
+# first row and column of taps) and a 7x7/2 on a 3x3 input (eight rows and
+# columns of taps), the second with images enough for two blocks on two
+# threads in both kernels. The last six run at the
 # eval workload's 128 images (32 clips), where both kernels work through
 # several image blocks: the stem, a 16->16 3x3, a 32->64 3x3/2 whose
 # blocks the product floor widens, and on the tap kernel the TM convs and
@@ -90,6 +94,8 @@ GEOMETRIES = {
     "3x3_s2_odd_15x15": (64, 16, 15, 15, 32, 3, 3, 2),
     "3x3_s3": (64, 16, 17, 17, 32, 3, 3, 3),
     "1x1_s2_odd_15x15": (64, 16, 15, 15, 32, 1, 1, 2),
+    "3x3_s2_2x2_input": (16, 16, 2, 2, 32, 3, 3, 2),
+    "7x7_s2_3x3_input": (128, 64, 3, 3, 64, 7, 7, 2),
     "eval_stem_3x3_9ch": (128, 9, 32, 32, 16, 3, 3, 1),
     "eval_3x3_s1": (128, 16, 32, 32, 16, 3, 3, 1),
     "eval_3x3_s2_to_8x8": (128, 32, 16, 16, 64, 3, 3, 2),

@@ -856,6 +856,132 @@ class TestBackwardState:
         assert bn_outputs_held > 0
 
 
+def _backward_with_hand_overs(loss, others=()):
+    """Run ``loss.backward()`` and return the ops whose closures handed a
+    gradient buffer over, asserting at each hand-over that the buffer shares
+    memory with no graph tensor's data (its own included), and with no
+    other tensor's grad: the node that hands over its own grad buffer drops
+    it right after its closure, so only that node is left out. ``others``
+    are more tensors to check against (running statistics, say)."""
+    tensors = _graph_nodes(loss) + list(others)
+    running = []
+    for node in tensors:
+        if node._backward is not None:
+            def closure(g, node=node, fn=node._backward):
+                running.append(node)
+                fn(g)
+                running.pop()
+            node._backward = closure
+    handed = set()
+    accumulate = Tensor.accumulate_grad
+
+    def checking(self, g, owned=False):
+        first = self.grad is None
+        accumulate(self, g, owned)
+        if not (first and self.grad is g):
+            return
+        assert owned, self.op
+        handed.add(running[-1].op)
+        for t in tensors:
+            where = f"{running[-1].op} -> {self.op}, against {t.op}"
+            assert not np.shares_memory(g, t.data), where
+            if t is not self and t is not running[-1] and t.grad is not None:
+                assert not np.shares_memory(g, t.grad), where
+    Tensor.accumulate_grad = checking
+    try:
+        loss.backward()
+    finally:
+        Tensor.accumulate_grad = accumulate
+    return handed
+
+
+def _copied_grads(make_loss, leaves):
+    """The bytes of each leaf's grad from ``make_loss().backward()`` with every
+    first gradient copied, as before hand-overs."""
+    accumulate = Tensor.accumulate_grad
+    Tensor.accumulate_grad = lambda self, g, owned=False: accumulate(self, g)
+    try:
+        make_loss().backward()
+    finally:
+        Tensor.accumulate_grad = accumulate
+    grads = [t.grad.tobytes() for t in leaves]
+    for t in leaves:
+        t.zero_grad()
+    return grads
+
+
+class TestGradientHandOver:
+    """A backward closure hands a gradient buffer it owns to a parent, which
+    keeps it as its grad instead of a copy: never a buffer that another
+    tensor's grad or data still reads, and with the bits of the copy."""
+
+    def check(self, make_loss, leaves, others=()):
+        want = _copied_grads(make_loss, leaves)
+        handed = _backward_with_hand_overs(make_loss(), others)
+        got = [t.grad for t in leaves]
+        assert [g.tobytes() for g in got] == want
+        for k, g in enumerate(got):
+            for t in list(leaves) + list(others):
+                assert not np.shares_memory(g, t.data)
+                assert t is leaves[k] or t.grad is None or not np.shares_memory(g, t.grad)
+        return handed
+
+    @pytest.mark.parametrize("preset", ["stnet-toy", "stnet-resnet50"])
+    def test_train_step_hands_over_no_shared_buffer(self, preset):
+        spec = arch.load_preset(preset)
+        if preset == "stnet-toy":     # the train workload's 16 clips
+            sampler = data.SamplerConfig(t=spec.t, n=spec.n, train=True)
+            arr, labels = data.make_batch(toy_clips(16, seed=0), sampler, seed=0)
+            batch = Tensor(arr)
+        else:    # bottleneck blocks, identity and projection shortcuts, max pool
+            spec = arch.with_overrides(spec, t=2, res=64)
+            batch, labels = batch_for(spec, b=2), np.array([3, 5])
+        m = model.build_model(spec, seed=0)
+        leaves = [t for _, t in m.trainable()]
+        running = [t for t in m.params.values() if not t.requires_grad]
+        saved = [t.data.copy() for t in running]
+
+        def make_loss():
+            for t, d in zip(running, saved):    # each forward moves them
+                t.data[...] = d
+            return ops.softmax_cross_entropy(model.forward(m, batch), labels)
+        handed = self.check(make_loss, leaves, [batch] + running)
+        assert {"conv2d", "batch_norm", "relu", "reshape", "add"} <= handed
+
+    def test_x_plus_x_adds_to_a_copy(self):
+        x = Tensor(np.array([1.0, -0.0, 3.0]), requires_grad=True)
+        assert self.check(lambda: x + x, [x]) == set()
+        x.zero_grad()
+        seed = np.array([0.5, -0.0, -2.0])
+        (x + x).backward(seed)
+        assert x.grad.tobytes() == (2 * seed).tobytes()
+        assert not np.shares_memory(x.grad, seed)
+
+    def test_relu_plus_relu(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0, 0.0]), requires_grad=True)
+        def make():
+            return ops.relu(x) + ops.relu(x)
+        assert self.check(make, [x]) == {"add", "relu"}
+        x.zero_grad()
+        make().backward(np.array([1.0, 2.0, -3.0, 4.0]))
+        assert np.array_equal(x.grad, [2.0, 0.0, -6.0, 0.0])
+
+    def test_residual_add_with_identity_shortcut(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((4, 2, 5, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4, 3, 3)) / 6, requires_grad=True)
+        alpha = Tensor(rng.standard_normal(4), requires_grad=True)
+        beta = Tensor(rng.standard_normal(4), requires_grad=True)
+
+        def make_loss():
+            h = ops.relu(x)    # feeds the conv and, as the shortcut, the add
+            y = ops.relu(_bn_train(ops.conv2d(h, w), alpha, beta) + h)
+            return ops.mean_over(y, (0, 1, 2, 3))
+        # h takes the add's buffer, then the conv's input gradient is added
+        # to it; parameters' gradients are copies.
+        assert self.check(make_loss, [x, w, alpha, beta]) == {"add", "batch_norm", "relu"}
+
+
 def _bn_train(x, alpha, beta):
     c = x.shape[0]
     return ops.batch_norm(x, alpha, beta, Tensor(np.zeros(c)), Tensor(np.ones(c)),

@@ -604,21 +604,38 @@ class TestGraphPlumbing:
         assert np.allclose(x.grad, 2.0)
 
     def test_first_gradient_keeps_negative_zero(self):
-        # The first gradient is copied, not added to zeros (0.0 + -0.0 is +0.0).
-        x = Tensor(np.ones(3, np.float32), requires_grad=True)
-        x.accumulate_grad(np.array([-0.0, 1.0, -0.0], np.float32))
-        assert np.signbit(x.grad).tolist() == [True, False, True]
-        x.accumulate_grad(np.zeros(3, np.float32))
-        assert not np.signbit(x.grad).any()
+        # The first gradient is copied, or kept when owned, not added to zeros
+        # (0.0 + -0.0 is +0.0).
+        for owned in (False, True):
+            x = Tensor(np.ones(3, np.float32), requires_grad=True)
+            g = np.array([-0.0, 1.0, -0.0], np.float32)
+            x.accumulate_grad(g, owned=owned)
+            assert np.signbit(x.grad).tolist() == [True, False, True]
+            assert (x.grad is g) == owned
+            x.accumulate_grad(np.zeros(3, np.float32))
+            assert not np.signbit(x.grad).any()
 
     def test_first_gradient_takes_the_leaf_layout(self):
         # A leaf that is a transposed view gets a gradient with its own
-        # strides, whatever the layout of the gradient handed to it.
-        x = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4).T, requires_grad=True)
-        g = np.ascontiguousarray(np.arange(12, dtype=np.float32).reshape(4, 3))
-        x.accumulate_grad(g)
-        assert x.grad.strides == x.data.strides != g.strides
-        assert np.array_equal(x.grad, g)
+        # strides, whatever the layout of the gradient handed to it, owned or
+        # not.
+        for owned in (False, True):
+            x = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4).T, requires_grad=True)
+            g = np.ascontiguousarray(np.arange(12, dtype=np.float32).reshape(4, 3))
+            x.accumulate_grad(g, owned=owned)
+            assert x.grad.strides == x.data.strides != g.strides
+            assert np.array_equal(x.grad, g) and not np.shares_memory(x.grad, g)
+
+    def test_owned_first_gradient_of_another_layout_or_dtype_is_copied(self):
+        data = np.arange(12, dtype=np.float32).reshape(3, 4)
+        for g in (np.arange(12, dtype=np.float64).reshape(3, 4),    # wider dtype
+                  np.asfortranarray(data),                          # not C-ordered
+                  np.arange(24, dtype=np.float32).reshape(3, 8)[:, ::2]):    # strided
+            x = Tensor(data, requires_grad=True)
+            x.accumulate_grad(g, owned=True)
+            assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous
+            assert not np.shares_memory(x.grad, g)
+            assert np.array_equal(x.grad, g.astype(np.float32))
 
     def test_non_finite_result_raises(self):
         big = Tensor(np.full((1, 2), 3e38, dtype=np.float32), requires_grad=True)
