@@ -207,6 +207,15 @@ def _check_add(rng):
     return grad_check(lambda a, b: a + b, [_t(rng, shape), _t(rng, shape)])
 
 
+def _check_add_relu(rng):
+    # The sums are drawn away from the relu's kink, then split between the
+    # two inputs.
+    shape = tuple(int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4))))
+    a, b = _t_away_from_zero(rng, shape), _t(rng, shape)
+    a.data[...] -= b.data
+    return grad_check(ops.add_relu, [a, b])
+
+
 def _check_reshape(rng):
     b, c = int(rng.integers(1, 4)), int(rng.integers(1, 5))
     return grad_check(lambda x: x.reshape((c, b)), [_t(rng, (b, c))])
@@ -233,6 +242,7 @@ OP_CHECKS = {
     "mean_over": _check_mean_over,
     "softmax_cross_entropy": _check_softmax_cross_entropy,
     "add": _check_add,
+    "add_relu": _check_add_relu,
     "reshape": _check_reshape,
     "transpose": _check_transpose,
 }

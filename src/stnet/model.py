@@ -45,8 +45,8 @@ class Block:
     that follows a batch norm runs inside it (``ops.batch_norm(...,
     relu=True)``). A stem runs conv, bn+relu and then, with ``pool``, a
     3x3/2 max pool; a residual block runs bn+relu on every pair but the
-    last, whose bn output is added to the shortcut (the ``down`` pair, or
-    the identity) before the block's one separate relu; a tm block runs
+    last, whose bn output and the shortcut (the ``down`` pair, or the
+    identity) go through one ``ops.add_relu``; a tm block runs
     its dense 3-tap conv over snippets and bn+relu.
     """
     kind: str                 # stem | residual | tm
@@ -301,7 +301,7 @@ def _run_block(p, block, x, training):
             return ops.max_pool2d(y) if block.pool else y
     shortcut = x if block.down is None else _run_conv_bn(p, *block.down, x, training)
     with _named(block.name):
-        return ops.relu(y + shortcut)
+        return ops.add_relu(y, shortcut)
 
 
 def txb_branches(model, seq):
@@ -326,7 +326,7 @@ def txb_branches(model, seq):
 
 def _run_txb_head(model, seq):
     long, short = txb_branches(model, seq)
-    fused = ops.relu(long + short)
+    fused = ops.add_relu(long, short)
     pooled = ops.temporal_max_pool(fused)
     p = model.params
     return ops.linear(pooled, p["head/fc/w"], p["head/fc/b"])

@@ -116,6 +116,13 @@ def conv2d(x, weight, stride=1):
     tap, the calling thread runs them alone. Each block or tap writes only
     its own slice of the output, gradient or transpose, and all have
     finished before the op returns (the transpose, before any tap starts).
+    Each forward block checks the output slice it has written for
+    non-finite values while that slice is still in its core's cache; the
+    shift kernel checks the cropped output, not its grid, whose extra
+    columns add terms that no output adds and can overflow where no output
+    does. Once every block is done, the calling thread raises
+    ``make_node``'s error if a block found one, and the node is made
+    without a second pass over the output.
     The thread count cannot move a bit: a thread runs whole products, each
     with the operands and shape it has in one thread, and every element
     still adds its taps in order within one block or tap. Only the core
@@ -309,6 +316,14 @@ def _each_block(fn, items):
     return results
 
 
+def _raise_unless_finite(flags, op):
+    """Raise ``make_node``'s error for ``op`` unless every flag is true: one
+    per block or run, whether the output slice it wrote is finite, checked in
+    its own thread. The op then makes its node with ``checked=True``."""
+    if not all(flags):
+        raise NumericsError(f"non-finite values produced by op '{op}'")
+
+
 def _conv2d_taps(x, weight, stride):
     """conv2d by one copied [C, b*H'*W'] window of the padded input per tap and block."""
     c, b_, h, w = x.shape
@@ -330,7 +345,8 @@ def _conv2d_taps(x, weight, stride):
         yb = y[:, b0 * ho * wo:b1 * ho * wo]
         for i, j, hs, ws in taps:
             yb += weight.data[:, :, i, j] @ xc[:, :, hs, ws].reshape(c, -1)
-    _each_block(forward_block, blocks)
+        return np.isfinite(yb).all()
+    _raise_unless_finite(_each_block(forward_block, blocks), "conv2d")
 
     def backward(g):
         if weight.requires_grad:
@@ -347,7 +363,7 @@ def _conv2d_taps(x, weight, stride):
             _each_block(input_block, blocks)
             # Unpadded, gxc is the gradient itself, and nothing else holds it.
             x.accumulate_grad(gxc[:, :, ph:ph + h, pw:pw + w], owned=not (ph or pw))
-    return make_node(y.reshape(o, b_, ho, wo), (x, weight), "conv2d", backward)
+    return make_node(y.reshape(o, b_, ho, wo), (x, weight), "conv2d", backward, checked=True)
 
 
 def _phase_rows(n, q, phase, stride, padding):
@@ -459,7 +475,10 @@ def _conv2d_shift(x, weight, stride):
             np.matmul(weight.data[:, :, i, j], phases[ab][:, d:d + cols], out=prod)
             grid += prod
         y[:, b0:b1] = grid.reshape(o, b1 - b0, hq, wq)[:, :, :ho, :wo]
-    _each_block(forward_block, blocks)
+        # The output, not the grid: its extra columns add terms that no output
+        # adds together, and can overflow where no output does.
+        return np.isfinite(y[:, b0:b1]).all()
+    _raise_unless_finite(_each_block(forward_block, blocks), "conv2d")
 
     def backward(g):
         if weight.requires_grad:
@@ -488,7 +507,7 @@ def _conv2d_shift(x, weight, stride):
                         c, b1 - b0, hq, wq)[:, :, pr, pc]
             _each_block(input_block, blocks)
             x.accumulate_grad(gx, owned=True)
-    return make_node(y, (x, weight), "conv2d", backward)
+    return make_node(y, (x, weight), "conv2d", backward, checked=True)
 
 
 def temporal_conv3(x, weight, bias):
@@ -599,8 +618,8 @@ BN_POOL_INFER = 3 * 2 ** 18
 
 
 def _channel_runs(c, workers):
-    """(start, stop) of the even runs of ``c`` channels a batch norm works
-    through: one per worker, each of at least 2 channels."""
+    """(start, stop) of the even runs of ``c`` channels a batch norm or an
+    add_relu works through: one per worker, each of at least 2 channels."""
     n = max(1, min(workers, c // 2))
     return [(c * k // n, c * (k + 1) // n) for k in range(n)]
 
@@ -633,11 +652,13 @@ def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
     block pool's items (``_each_block``), when x holds at least
     ``BN_POOL_TRAIN`` = 2**18 values in training or ``BN_POOL_INFER`` =
     3 * 2**18 in inference; a smaller x is one run, in the calling thread.
-    A run takes its channels' sums, xhat and output slice, and in the
-    backward its slice of the gradient buffer and its channels' alpha and
-    beta gradients. The calling thread then joins the per-channel vectors,
-    raises on non-finite batch statistics before any running statistic
-    moves, updates the running buffers and calls ``accumulate_grad``. Every
+    A run takes its channels' sums, xhat and output slice, which it checks
+    for non-finite values once written (after the relu, as ``make_node``
+    would), and in the backward its slice of the gradient buffer and its
+    channels' alpha and beta gradients. The calling thread then joins the
+    per-channel vectors, raises on non-finite batch statistics and then on a
+    run's non-finite output, both before any running statistic moves,
+    updates the running buffers and calls ``accumulate_grad``. Every
     value comes from the operations and operands it has in one run, so the
     thread count cannot move a bit, with one condition: a run holds at
     least 2 channels. numpy sums the [N, 1] column of a one-channel slice
@@ -674,10 +695,12 @@ def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
     runs = _channel_runs(c, _workers() if x.size >= floor else 1)
 
     def finish(yr, add):
-        """Add a run's per-channel ``add`` to its output slice, then the relu."""
+        """Add a run's per-channel ``add`` to its output slice, then the relu;
+        whether the finished slice is finite."""
         yr += add.reshape(bshape)
         if relu:
             np.maximum(yr, 0, out=yr)
+        return np.isfinite(yr).all()
 
     if training:
         _require(x.size > 0, "batch_norm training mode requires a non-empty batch")
@@ -691,17 +714,19 @@ def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
             xc = x.data[c0:c1] - mu.reshape(bshape)
             var = _channel_sum(xc * xc) / n
             inv = 1.0 / np.sqrt(var + BN_EPS)
-            if np.all(np.isfinite(var)):    # else the caller raises and drops y
-                # In place, rounded as the out-of-place forms: xc becomes xhat,
-                # and y = xhat * alpha gets beta added. The backward rebuilds
-                # xhat from x, mu and inv, so the node keeps neither.
-                np.multiply(np.multiply(xc, inv.reshape(bshape), out=xc),
-                            alpha.data[c0:c1].reshape(bshape), out=y[c0:c1])
-                finish(y[c0:c1], beta.data[c0:c1])
-            return mu, var, inv
-        mu, var, inv = (np.concatenate(v) for v in zip(*_each_block(forward_run, runs)))
+            if not np.all(np.isfinite(var)):    # the caller raises and drops y
+                return mu, var, inv, False
+            # In place, rounded as the out-of-place forms: xc becomes xhat,
+            # and y = xhat * alpha gets beta added. The backward rebuilds
+            # xhat from x, mu and inv, so the node keeps neither.
+            np.multiply(np.multiply(xc, inv.reshape(bshape), out=xc),
+                        alpha.data[c0:c1].reshape(bshape), out=y[c0:c1])
+            return mu, var, inv, finish(y[c0:c1], beta.data[c0:c1])
+        mu, var, inv, finite = zip(*_each_block(forward_run, runs))
+        mu, var, inv = (np.concatenate(v) for v in (mu, var, inv))
         if not np.all(np.isfinite(var)):    # also catches a non-finite mean
             raise NumericsError("non-finite batch statistics in op 'batch_norm'")
+        _raise_unless_finite(finite, "batch_norm")
         running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1 - BN_MOMENTUM) * mu
         running_var.data[...] = BN_MOMENTUM * running_var.data + (1 - BN_MOMENTUM) * var
     else:
@@ -715,8 +740,8 @@ def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
             c0, c1 = run
             np.multiply(x.data[c0:c1], a[c0:c1].reshape(bshape), out=y[c0:c1],
                         dtype=y.dtype)
-            finish(y[c0:c1], b[c0:c1])
-        _each_block(forward_run, runs)
+            return finish(y[c0:c1], b[c0:c1])
+        _raise_unless_finite(_each_block(forward_run, runs), "batch_norm")
 
     def backward(g):
         # ``g`` is this node's own gradient buffer, which no other array or
@@ -760,7 +785,7 @@ def batch_norm(x, alpha, beta, running_mean, running_var, training, relu=False):
                 p.accumulate_grad(next(sums))
         if x.requires_grad:
             x.accumulate_grad(g, owned=True)
-    return make_node(y, (x, alpha, beta), "batch_norm", backward)
+    return make_node(y, (x, alpha, beta), "batch_norm", backward, checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +799,74 @@ def relu(x):
     def backward(g):    # g is the node's own gradient buffer
         x.accumulate_grad(np.multiply(g, y > 0, out=g), owned=True)
     return make_node(y, (x,), "relu", backward)
+
+
+# The fewest values of an add_relu that split over the block pool; the
+# measurements are in its docstring.
+ADD_RELU_POOL = 2 ** 19
+
+
+def add_relu(a, b):
+    """relu(a + b) of two tensors of one shape: a residual block's tail and
+    the TXB head's fusion, with the bits of ``relu(a + b)``.
+
+    The sum is checked before the relu, which would make a -inf 0, and a
+    non-finite sum is named as the add's: ``non-finite values produced by
+    op 'add'``. The backward turns the node's own gradient buffer g into
+    g * (y > 0) in place, then gives a copy to ``a`` and the buffer itself
+    to ``b``, as ``relu`` and ``Tensor.__add__`` do; so ``add_relu(x, x)``
+    adds the buffer to x's copy.
+
+    Forward and backward work through even runs of the first axis
+    (``_channel_runs``) on the block pool (``_each_block``) when the tensors
+    hold at least ``ADD_RELU_POOL`` values; a smaller pair is one run, in
+    the calling thread. A run adds, checks and clips its own slice of the
+    output, and in the backward masks its own slice of g. Every value is
+    one elementwise operation on the same operands in any run, so the run
+    count cannot move a bit.
+
+    The floor, from pool time over one-thread time per call, measured
+    inside forward and backward passes on alternating steps (stnet-toy
+    training at 1 to 16 clips and inference at 32; stnet-resnet50 at
+    112x112, inference on 2 clips; 1 BLAS thread, 2-core AVX-512 Xeon):
+
+        values       train fwd   train bwd   infer
+        16K-66K      1.8-3.7     2.2-3.2       -
+        131072       1.6         1.8           -
+        262144       0.7-0.9     1.2-1.3       -
+        524288       0.5-0.6     1.0-1.05    1.1
+        1048576      0.5-0.6     0.8-0.9     0.9-1.0
+        2097152         -           -        0.8-0.85
+        1.6M-10M        -           -        0.5-0.6
+
+    A run reads its inputs from whichever core's cache wrote them: a
+    training batch norm of 2**18 values or more runs on the pool, and an
+    inference one only from 3 * 2**18, which is why inference gains less
+    at the same size.
+    """
+    _require(a.ndim >= 1, "add_relu needs at least one axis")
+    _require(a.shape == b.shape, f"add_relu shape mismatch: {a.shape} vs {b.shape}")
+    y = np.empty_like(a.data, dtype=np.result_type(a.data, b.data))
+    runs = _channel_runs(a.shape[0], _workers() if a.size >= ADD_RELU_POOL else 1)
+
+    def forward_run(run):
+        c0, c1 = run
+        s = np.add(a.data[c0:c1], b.data[c0:c1], out=y[c0:c1])
+        finite = np.isfinite(s).all()
+        np.maximum(s, 0, out=s)
+        return finite
+    _raise_unless_finite(_each_block(forward_run, runs), "add")
+
+    def backward(g):    # g is the node's own gradient buffer
+        def backward_run(run):
+            c0, c1 = run
+            np.multiply(g[c0:c1], y[c0:c1] > 0, out=g[c0:c1])
+        _each_block(backward_run, runs)
+        if a.requires_grad:
+            a.accumulate_grad(g)
+        if b.requires_grad:
+            b.accumulate_grad(g, owned=True)
+    return make_node(y, (a, b), "add_relu", backward, checked=True)
 
 
 def temporal_max_pool(x):

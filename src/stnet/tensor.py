@@ -159,7 +159,7 @@ class Tensor:
 
         def backward(g):    # g is the node's own gradient buffer
             self.accumulate_grad(g.reshape(src_shape), owned=True)
-        return make_node(self.data.reshape(shape), (self,), "reshape", backward)
+        return make_node(self.data.reshape(shape), (self,), "reshape", backward, checked=True)
 
     def transpose(self, axes):
         axes = tuple(axes)
@@ -167,7 +167,8 @@ class Tensor:
 
         def backward(g):
             self.accumulate_grad(g.transpose(inv))
-        return make_node(self.data.transpose(axes), (self,), "transpose", backward)
+        return make_node(self.data.transpose(axes), (self,), "transpose", backward,
+                         checked=True)
 
     def __add__(self, other):
         if not isinstance(other, Tensor):
@@ -186,14 +187,17 @@ class Tensor:
         return make_node(self.data + other.data, (self, other), "add", backward)
 
 
-def make_node(data, parents, op, backward):
+def make_node(data, parents, op, backward, checked=False):
     """Wrap an op result, verifying finiteness and wiring the graph.
 
     ``backward(g)`` routes the output gradient ``g`` to the parents. The
     node keeps it, and its parents, only when some parent needs a
-    gradient, so inference builds no graph.
+    gradient, so inference builds no graph. ``checked`` says that the op
+    has already raised on any non-finite value in ``data``: a view of a
+    checked tensor, or an op that checks each slice of its output where it
+    writes it, on the block pool, and so makes no second pass over it here.
     """
-    if not np.all(np.isfinite(data)):
+    if not checked and not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by op '{op}'")
     t = Tensor.__new__(Tensor)
     t.data = data

@@ -946,7 +946,7 @@ class TestGradientHandOver:
                 t.data[...] = d
             return ops.softmax_cross_entropy(model.forward(m, batch), labels)
         handed = self.check(make_loss, leaves, [batch] + running)
-        assert {"conv2d", "batch_norm", "relu", "reshape", "add"} <= handed
+        assert {"conv2d", "batch_norm", "relu", "reshape", "add_relu"} <= handed
 
     def test_x_plus_x_adds_to_a_copy(self):
         x = Tensor(np.array([1.0, -0.0, 3.0]), requires_grad=True)
@@ -956,6 +956,19 @@ class TestGradientHandOver:
         (x + x).backward(seed)
         assert x.grad.tobytes() == (2 * seed).tobytes()
         assert not np.shares_memory(x.grad, seed)
+
+    def test_add_relu_of_x_and_x_adds_to_a_copy(self):
+        x = Tensor(np.array([1.0, -0.0, -3.0, 2.0]), requires_grad=True)
+        assert self.check(lambda: ops.add_relu(x, x), [x]) == set()
+        x.zero_grad()
+        seed = np.array([0.5, 4.0, -2.0, -0.0])
+        ops.add_relu(x, x).backward(seed)
+        assert x.grad.tobytes() == np.array([1.0, 0.0, -0.0, -0.0]).tobytes()
+        assert not np.shares_memory(x.grad, seed)
+        want = x.grad
+        x.zero_grad()
+        ops.relu(x + x).backward(seed)
+        assert x.grad.tobytes() == want.tobytes()
 
     def test_relu_plus_relu(self):
         x = Tensor(np.array([1.0, -2.0, 3.0, 0.0]), requires_grad=True)
@@ -1004,6 +1017,7 @@ GRAPH_RULE_CASES = {
     "reshape": (lambda x: x.reshape((3, 2)), [(2, 3)]),
     "transpose": (lambda x: x.transpose((1, 0)), [(2, 3)]),
     "add": (lambda a, b: a + b, [(2, 3), (2, 3)]),
+    "add_relu": (ops.add_relu, [(2, 3), (2, 3)]),
 }
 
 
